@@ -193,73 +193,54 @@ def find_induced_p4(g: Graph, vertices=None) -> tuple[int, int, int, int] | None
     return None
 
 
-def _co_components(g: Graph, vs: list[int]) -> list[list[int]]:
-    """Connected components of the complement of the induced subgraph."""
-    vset = set(vs)
-    seen = set()
-    comps = []
-    for s in vs:
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            nonnb = vset - g.neighbors(v) - {v} - seen
-            for w in nonnb:
-                seen.add(w)
-                stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _split(g: Graph, vs: list[int]):
-    """One decomposition step: ('L', v) | (tag, parts) | None when stuck."""
-    if len(vs) == 1:
-        return ("L", vs[0])
-    sub, keep = g.induced(vs)
-    comps = sub.components()
-    if len(comps) > 1:
-        return ("U", [[keep[i] for i in c] for c in comps])
-    cocomps = _co_components(g, vs)
-    if len(cocomps) > 1:
-        return ("J", cocomps)
-    return None
-
-
 def recognize_cograph(g: Graph):
     """Decompose by repeated union/join splits; multiway splits are
     binarized left to right.  Returns a Cotree or a refusal carrying an
-    induced P4."""
+    induced P4.
+
+    The split runs on an explicit stack, depth first in part order, so the
+    first stuck vertex set (and its P4) does not depend on the depth."""
     if g.n == 0:
         raise ValueError("empty graph has no cotree")
-
-    def build(vs: list[int]):
-        step = _split(g, vs)
-        if step is None:
-            p4 = find_induced_p4(g, vs)
-            assert p4 is not None, "undecomposable subgraph must contain a P4"
-            return CographRefusal(p4)
-        if step[0] == "L":
-            return step[1]
-        tag, parts = step
-        exprs = []
-        for part in parts:
-            e = build(part)
-            if isinstance(e, CographRefusal):
-                return e
-            exprs.append(e)
-        acc = exprs[0]
-        for e in exprs[1:]:
-            acc = (tag, acc, e)
-        return acc
-
-    expr = build(sorted(range(g.n)))
-    if isinstance(expr, CographRefusal):
-        return expr
-    return Cotree.from_expr(expr)
+    kind: list[str] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf_vertex: list[int] = []
+    frames: list[list] = []  # [tag, parts, next part, folded node so far]
+    vs: list[int] = list(range(g.n))
+    while True:
+        if len(vs) > 1:
+            tag, parts = "U", g.components(vs)
+            if len(parts) == 1:
+                tag, parts = "J", g.co_components(vs)
+                if len(parts) == 1:
+                    p4 = find_induced_p4(g, vs)
+                    assert p4 is not None, "undecomposable subgraph must contain a P4"
+                    return CographRefusal(p4)
+            frames.append([tag, parts, 1, -1])
+            vs = parts[0]
+            continue
+        kind.append("L")
+        left.append(-1)
+        right.append(-1)
+        leaf_vertex.append(vs[0])
+        node = len(kind) - 1
+        while frames:
+            frame = frames[-1]
+            if frame[3] != -1:
+                kind.append(frame[0])
+                left.append(frame[3])
+                right.append(node)
+                leaf_vertex.append(-1)
+                node = len(kind) - 1
+            frame[3] = node
+            if frame[2] < len(frame[1]):
+                vs = frame[1][frame[2]]
+                frame[2] += 1
+                break
+            frames.pop()
+        else:
+            return Cotree(kind, left, right, leaf_vertex, node)
 
 
 def cotree_to_graph(t: Cotree) -> Graph:

@@ -76,24 +76,56 @@ class Graph:
         ]
         return Graph(len(keep), edges), keep
 
-    def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
+    def components(self, vertices: Iterable[int] | None = None) -> list[list[int]]:
+        """Connected components of G[vertices] (default: all of G), each
+        sorted, ordered by smallest vertex.  Builds no subgraph."""
+        return self._parts(vertices, co=False)
+
+    def co_components(self, vertices: Iterable[int]) -> list[list[int]]:
+        """Connected components of the complement of G[vertices], in the
+        same order as ``components``.  Each search step keeps only the
+        unvisited vertices the popped vertex sees, so a call costs
+        O(|S| + m(S)) set work and builds no complement."""
+        return self._parts(vertices, co=True)
+
+    def _parts(self, vertices, co: bool) -> list[list[int]]:
+        adj = self._adj
+        if vertices is None:
+            order = range(self.n)
+            unseen = set(order)
+        else:
+            unseen = set(vertices)
+            order = sorted(unseen)
         comps = []
-        for s in range(self.n):
-            if seen[s]:
+        for s in order:
+            if s not in unseen:
                 continue
+            unseen.discard(s)
+            comp = [s]
             stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+            while stack and unseen:
+                if len(unseen) < len(stack):
+                    # Few vertices left unvisited: test each against the
+                    # whole stack at once instead of popping it one by one.
+                    pending = set(stack)
+                    stack.clear()
+                    if co:
+                        new = [x for x in unseen if not pending <= adj[x]]
+                    else:
+                        new = [x for x in unseen if not pending.isdisjoint(adj[x])]
+                    unseen.difference_update(new)
+                else:
+                    nb = adj[stack.pop()]
+                    if co:
+                        new = unseen - nb
+                        unseen &= nb
+                    else:
+                        new = unseen & nb
+                        unseen -= new
+                comp.extend(new)
+                stack.extend(new)
+            comp.sort()
+            comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:

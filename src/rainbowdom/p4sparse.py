@@ -380,57 +380,64 @@ def _extract_spider(g: Graph, vs: list[int]):
     return sp, [keep[x] for x in head_l]
 
 
+def _refusal(g: Graph, vs: list[int]) -> P4SparseRefusal:
+    for five in combinations(sorted(vs), 5):
+        if count_induced_p4s(g, five) > 1:
+            return P4SparseRefusal(five)
+    raise AssertionError("undecomposable subgraph must break the 5-vertex rule")
+
+
 def recognize_p4sparse(g: Graph):
     """Decompose into unions, joins and spiders; on failure return five
-    vertices inducing two or more P4s."""
+    vertices inducing two or more P4s.
+
+    Runs on an explicit stack, depth first in part order.  Node ids follow
+    the order in which a recursive builder would create them: all parts of
+    a split, then its left-to-right fold; a spider's head, then the
+    spider."""
     if g.n == 0:
         raise ValueError("empty graph has no decomposition tree")
     b = _TreeBuilder()
-
-    def refusal(vs: list[int]) -> P4SparseRefusal:
-        for five in combinations(sorted(vs), 5):
-            if count_induced_p4s(g, five) > 1:
-                return P4SparseRefusal(five)
-        raise AssertionError("undecomposable subgraph must break the 5-vertex rule")
-
-    def build(vs: list[int]):
-        if len(vs) == 1:
-            return b.leaf(vs[0])
-        sub, keep = g.induced(vs)
-        comps = sub.components()
-        if len(comps) > 1:
-            parts = [[keep[i] for i in c] for c in comps]
-            return _fold(b, "U", [build(p) for p in parts])
-        co = complement(sub)
-        cocomps = co.components()
-        if len(cocomps) > 1:
-            parts = [[keep[i] for i in c] for c in cocomps]
-            return _fold(b, "J", [build(p) for p in parts])
-        got = _extract_spider(g, vs)
-        if got is None:
-            return refusal(vs)
-        sp, head_orig = got
-        head_node = -1
-        if head_orig:
-            head_node = build(sorted(head_orig))
-            if isinstance(head_node, P4SparseRefusal):
-                return head_node
-        return b.spider_node(sp, head_node)
-
-    root = build(sorted(range(g.n)))
-    if isinstance(root, P4SparseRefusal):
-        return root
-    return b.tree(root)
-
-
-def _fold(b: _TreeBuilder, tag: str, parts):
-    for p in parts:
-        if isinstance(p, P4SparseRefusal):
-            return p
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = b.node(tag, acc, p)
-    return acc
+    frames: list[list] = []  # [tag, parts, next part, part roots] | ["S", spider]
+    vs: list[int] = list(range(g.n))
+    while True:
+        if len(vs) > 1:
+            tag, parts = "U", g.components(vs)
+            if len(parts) == 1:
+                tag, parts = "J", g.co_components(vs)
+            if len(parts) > 1:
+                frames.append([tag, parts, 1, []])
+                vs = parts[0]
+                continue
+            got = _extract_spider(g, vs)
+            if got is None:
+                return _refusal(g, vs)
+            sp, head = got
+            if head:
+                frames.append(["S", sp])
+                vs = head
+                continue
+            node = b.spider_node(sp, -1)
+        else:
+            node = b.leaf(vs[0])
+        while frames:
+            frame = frames[-1]
+            if frame[0] == "S":
+                node = b.spider_node(frame[1], node)
+                frames.pop()
+                continue
+            frame[3].append(node)
+            if frame[2] < len(frame[1]):
+                vs = frame[1][frame[2]]
+                frame[2] += 1
+                break
+            frames.pop()
+            roots = frame[3]
+            node = roots[0]
+            for r in roots[1:]:
+                node = b.node(frame[0], node, r)
+        else:
+            return b.tree(node)
 
 
 def rainbow_thin_spider(s_size: int, total: int, k: int) -> int:

@@ -21,7 +21,6 @@ asymmetric branches); values are certified against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph
 from .semantics import KAssignment, WeightFunction
@@ -166,45 +165,51 @@ def render_assignment(L: KAssignment) -> str:
     return "\n".join(f"{v} {a} {b}" for v, (a, b) in enumerate(L.pairs)) + "\n"
 
 
-def _find_p4_or_c4(g: Graph, vertices) -> TPRefusal:
-    for quad in combinations(sorted(vertices), 4):
-        edges = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
-        deg = {v: 0 for v in quad}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        degs = sorted(deg.values())
-        if len(edges) == 3 and degs == [1, 1, 2, 2]:
-            return TPRefusal("P4", quad)
-        if len(edges) == 4 and degs == [2, 2, 2, 2]:
-            return TPRefusal("C4", quad)
-    raise AssertionError("graph without universal vertex must contain P4 or C4")
+def _find_p4_or_c4(g: Graph, comp: set[int]) -> TPRefusal:
+    """Induced P4 or C4 inside a connected vertex set with no universal
+    vertex.  Take v of maximum degree, w in N(v) with a neighbor x outside
+    N[v]; since deg(w) <= deg(v), some y in N(v) - N[w] exists, and
+    y-v-w-x is an induced C4 when y ~ x and an induced P4 otherwise."""
+    adj = g.neighbors
+    v = max(sorted(comp), key=lambda u: len(adj(u) & comp))
+    nv = adj(v) & comp
+    closed_v = nv | {v}
+    for w in sorted(nv):
+        beyond = (adj(w) & comp) - closed_v
+        if beyond:
+            x = min(beyond)
+            y = min(nv - adj(w) - {w})
+            kind = "C4" if g.has_edge(y, x) else "P4"
+            return TPRefusal(kind, tuple(sorted((y, v, w, x))))
+    raise AssertionError("a connected set without universal vertex has distance 2")
 
 
 def build_tree_model(g: Graph):
     """Model construction by repeatedly extracting a universal vertex of
-    each connected piece; refusal exhibits an induced P4 or C4."""
+    each connected piece; refusal exhibits an induced P4 or C4.
+
+    A piece's outside neighbours are exactly the roots already extracted
+    above it (each was universal in a piece containing it, and pieces are
+    separated), so v is universal in the piece iff
+    deg(v) == |piece| - 1 + depth: one length test per vertex."""
+    degree = [g.degree(v) for v in range(g.n)]
     parents = [-1] * g.n
-    stack: list[tuple[list[int], int]] = [
-        (comp, -1) for comp in reversed(g.components())
+    stack: list[tuple[list[int], int, int]] = [
+        (comp, -1, 0) for comp in reversed(g.components())
     ]
     while stack:
-        comp, parent = stack.pop()
+        comp, parent, depth = stack.pop()
         if len(comp) == 1:
             parents[comp[0]] = parent
             continue
-        sub, keep = g.induced(comp)
-        universal = next(
-            (v for v in range(sub.n) if sub.degree(v) == sub.n - 1), None
-        )
-        if universal is None:
-            return _find_p4_or_c4(g, comp)
-        root = keep[universal]
+        full = len(comp) - 1 + depth
+        root = next((v for v in comp if degree[v] == full), None)
+        if root is None:
+            return _find_p4_or_c4(g, set(comp))
         parents[root] = parent
         rest = [v for v in comp if v != root]
-        sub2, keep2 = g.induced(rest)
-        for c in reversed(sub2.components()):
-            stack.append(([keep2[i] for i in c], root))
+        for c in reversed(g.components(rest)):
+            stack.append((c, root, depth + 1))
     return RootedTreeModel(parents)
 
 
