@@ -101,6 +101,19 @@ class Cotree:
                 out[v] = out[self.left[v]] + out[self.right[v]]
         return out
 
+    def leaf_spans(self) -> tuple[list[int], list[int]]:
+        """All leaf vertices left to right, and per node the index of its
+        first one: node v's leaves are seq[start[v]:start[v] + size[v]]."""
+        seq: list[int] = []
+        start = [0] * len(self.kind)
+        for v in self.post_order():
+            if self.kind[v] == "L":
+                start[v] = len(seq)
+                seq.append(self.leaf_vertex[v])
+            else:
+                start[v] = start[self.left[v]]
+        return seq, start
+
     @staticmethod
     def from_expr(expr) -> "Cotree":
         kind, left, right, leaf_vertex = [], [], [], []
@@ -262,19 +275,18 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     with a validating witness reconstructed by backtracking."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    order = t.post_order()
-    size = t.size
-    rp = [0] * len(t.kind)   # cheapest all-nonempty cover of all k colors
-    rm = [INF] * len(t.kind)  # cheapest function with some empty label
-    for v in order:
-        rp[v] = max(size[v], k)
-        if t.kind[v] == "L":
-            rm[v] = INF
-        elif t.kind[v] == "U":
-            a, b = t.left[v], t.right[v]
+    size, kind, left, right = t.size, t.kind, t.left, t.right
+    # cheapest all-nonempty cover of all k colors
+    rp = [sz if sz > k else k for sz in size]
+    rm = [INF] * len(kind)  # cheapest function with some empty label
+    for v in t.post_order():
+        kv = kind[v]
+        if kv == "L":
+            continue
+        a, b = left[v], right[v]
+        if kv == "U":
             rm[v] = min(rm[a] + size[b], rm[b] + size[a], rm[a] + rm[b])
         else:
-            a, b = t.left[v], t.right[v]
             rm[v] = min(rp[a], rp[b], rm[a], rm[b], 2 * k)
     value = min(t.n_leaves, rm[t.root])
     assert value != INF
@@ -282,16 +294,20 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     if not want_witness:
         return value, None
 
-    leaves = t.leaves_of()
+    seq, start = t.leaf_spans()
     labels: list[frozenset[int]] = [frozenset()] * t.n_leaves
 
+    def leaves(node: int) -> list[int]:
+        return seq[start[node]:start[node] + size[node]]
+
     def fill_singletons(node: int) -> None:
-        for lv in leaves[node]:
-            labels[lv] = frozenset({1})
+        one = frozenset({1})
+        for lv in leaves(node):
+            labels[lv] = one
 
     def fill_plus_cover(node: int) -> None:
         # every leaf nonempty, all k colors used, cost max(size, k)
-        ls = leaves[node]
+        ls = leaves(node)
         m = len(ls)
         if m >= k:
             for i, lv in enumerate(ls):
@@ -339,8 +355,8 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
                 )
                 _, (ma, mb) = min(branches, key=lambda x: x[0])
                 if ma == "kk":
-                    labels[leaves[a][0]] = full
-                    labels[leaves[b][0]] = full
+                    labels[seq[start[a]]] = full
+                    labels[seq[start[b]]] = full
                 else:
                     stack.append((a, ma))
                     stack.append((b, mb))
@@ -407,7 +423,6 @@ def _weight_dp(t: Cotree, k: int, leaf_value, want_witness: bool):
     if not want_witness:
         return value, None
 
-    leaves = t.leaves_of()
     weights = [0] * t.n_leaves
     # realize(node, q, target): target >= table[q], target <= k * size
     stack = [(t.root, 0, value)]

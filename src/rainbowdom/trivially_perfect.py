@@ -21,6 +21,8 @@ asymmetric branches); values are certified against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 
 from .graph import Graph
 from .semantics import KAssignment, WeightFunction
@@ -381,7 +383,7 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
     f: list[list[int]] = [None] * n  # type: ignore[list-item]
     childsum: list[list[int]] = [None] * n  # type: ignore[list-item]
     leaf_cache: dict[tuple[int, int], list[int]] = {}
-    suffix = [0] * k1
+    hs = range(k1)
     for v in reversed(model.order):
         ch = children[v]
         av, bv = a[v], b[v]
@@ -397,43 +399,26 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
         if len(ch) == 1:
             cs = f[ch[0]]
         else:
-            cs = list(f[ch[0]])
-            for c in ch[1:]:
-                fc = f[c]
-                for h in range(k1):
-                    cs[h] += fc[h]
+            cs = list(map(add, f[ch[0]], f[ch[1]]))
+            for c in ch[2:]:
+                cs = list(map(add, cs, f[c]))
         childsum[v] = cs
-        cap_below = k * (size[v] - 1)
-        # positive-weight choices: h + childsum[h] minimized over reachable
-        # help columns; weights past k-s all land on the clamped column.
-        w_lo = max(1, av)
-        run = INF
-        for h in range(k - 1, -1, -1):
-            m = h + cs[h]
-            if m < run:
-                run = m
-            suffix[h] = run
-        csk = cs[k]
-        fv = [0] * k1
-        for s in range(k1):
-            w_clamp = k - s
-            if w_lo > w_clamp:
-                w_clamp = w_lo
-            best = w_clamp + csk
-            lo_h = s + w_lo
-            if lo_h < k:
-                t = suffix[lo_h] - s
-                if t < best:
-                    best = t
-            if av == 0:
-                need0 = bv - s
-                if need0 <= cap_below:
-                    cand = cs[s]
-                    if need0 > cand:
-                        cand = need0
-                    if cand < best:
-                        best = cand
-            fv[s] = best
+        # a positive weight w costs h + cs[h] - s with h = min(k, s + w), so
+        # the cheapest w >= w_lo is a suffix minimum of h + cs[h] from s + w_lo;
+        # once s + w_lo passes k, the clamped column costs w_lo + cs[k]
+        w_lo = av if av > 1 else 1
+        sfx = list(accumulate(reversed(list(map(add, hs, cs))), min))
+        sfx.reverse()
+        fv = list(map(sub, sfx[w_lo:], hs))
+        fv.extend([w_lo + cs[k]] * w_lo)
+        if av == 0:
+            cap_below = k * (size[v] - 1)
+            for s in range(max(0, bv - cap_below), k1):
+                cand = cs[s]
+                if bv - s > cand:
+                    cand = bv - s
+                if cand < fv[s]:
+                    fv[s] = cand
         f[v] = fv
 
     value = sum(f[r][0] for r in model.roots)
@@ -446,20 +431,20 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
         v, s, target = stack.pop()
         cs = childsum[v]
         cap_below = k * (size[v] - 1)
-        best = None
+        # the smallest cheapest positive weight; past k - s every weight
+        # lands on the clamped column, where the smallest is cheapest
         w_lo = max(1, a[v])
-        for w in range(w_lo, k + 1):
-            h = min(k, s + w)
-            cand = (w + cs[h], w)
-            if best is None or cand < best:
-                best = cand
+        if s + w_lo >= k:
+            total, w = w_lo + cs[k], w_lo
+        else:
+            costs = [w + cs[s + w] for w in range(w_lo, k - s + 1)]
+            total = min(costs)
+            w = w_lo + costs.index(total)
+        # weight zero wins ties
         if a[v] == 0:
             need0 = b[v] - s
-            if need0 <= cap_below:
-                cand = (max(cs[s], need0), 0)
-                if cand < best:
-                    best = cand
-        total, w = best
+            if need0 <= cap_below and max(cs[s], need0) <= total:
+                total, w = max(cs[s], need0), 0
         assert total <= target <= k * size[v]
         h = min(k, s + w)
         need_below = max(cs[s], b[v] - s) if w == 0 else cs[h]
@@ -469,9 +454,13 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
         weights[v] = w + (extra - give_below)
         below_target = need_below + give_below
         spread = below_target - cs[h]
+        if not spread:
+            stack.extend([(c, h, f[c][h]) for c in children[v]])
+            continue
         for c in children[v]:
-            give = min(spread, k * size[c] - f[c][h])
-            stack.append((c, h, f[c][h] + give))
+            fc = f[c][h]
+            give = min(spread, k * size[c] - fc)
+            stack.append((c, h, fc + give))
             spread -= give
         assert spread == 0
     return value, weights
@@ -480,6 +469,11 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
 def gamma_wkL(model: RootedTreeModel, L: KAssignment):
     """Exact weak {k}-L-domination number of the modeled graph, with a
     validating witness.  Reduction first, then the subtree DP."""
+    if len(L.pairs) == model.n and all(a == 0 < b for a, b in L.pairs):
+        # nothing is fixed and nothing starts out satisfied: the reduction
+        # is the identity, so solve the instance as given
+        value, weights = _solve_tree_weakL(model, L.pairs, L.k)
+        return value, WeightFunction(L.k, tuple(weights))
     red = reduce_instance(model, L)
     value_red, weights_red = _solve_tree_weakL(red.model, red.labels.pairs, L.k)
     weights = [0] * model.n
