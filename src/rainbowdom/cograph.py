@@ -91,16 +91,6 @@ class Cotree:
                 stack.append((self.left[v], False))
         return order
 
-    def leaves_of(self) -> list[list[int]]:
-        """Per node: its leaf vertices in left-to-right order."""
-        out: list[list[int]] = [[] for _ in self.kind]
-        for v in self.post_order():
-            if self.kind[v] == "L":
-                out[v] = [self.leaf_vertex[v]]
-            else:
-                out[v] = out[self.left[v]] + out[self.right[v]]
-        return out
-
     def leaf_spans(self) -> tuple[list[int], list[int]]:
         """All leaf vertices left to right, and per node the index of its
         first one: node v's leaves are seq[start[v]:start[v] + size[v]]."""
@@ -257,13 +247,15 @@ def recognize_cograph(g: Graph):
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
-    leaves = t.leaves_of()
+    seq, start = t.leaf_spans()
+    size = t.size
     edges = []
     for v in t.post_order():
         if t.kind[v] == "J":
-            for a in leaves[t.left[v]]:
-                for b in leaves[t.right[v]]:
-                    edges.append((a, b))
+            a, b = t.left[v], t.right[v]
+            right = seq[start[b]:start[b] + size[b]]
+            for x in seq[start[a]:start[a] + size[a]]:
+                edges.extend((x, y) for y in right)
     return Graph(t.n_leaves, edges)
 
 
