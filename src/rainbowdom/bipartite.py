@@ -91,7 +91,8 @@ def render_bipartite_instance(inst: BipartiteInstance) -> str:
 
 
 def complete_bipartite_graph(n1: int, n2: int) -> Graph:
-    return Graph(n1 + n2, [(u, n1 + v) for u in range(n1) for v in range(n2)])
+    side1, side2 = range(n1), range(n1, n1 + n2)
+    return Graph(n1 + n2, adj=[frozenset(side2)] * n1 + [frozenset(side1)] * n2)
 
 
 def instance_from_assignment(n1: int, n2: int, L: KAssignment) -> BipartiteInstance:

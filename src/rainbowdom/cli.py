@@ -261,8 +261,10 @@ def _try_complete_bipartite(g: Graph, L: KAssignment):
     if side1 != list(range(len(side1))) or not side2:
         return None
     n1 = len(side1)
-    expected = {(u, v) for u in side1 for v in side2}
-    if {(min(u, v), max(u, v)) for u, v in expected} != g.edges:
+    set1, set2 = frozenset(side1), frozenset(side2)
+    if any(g.neighbors(u) != set2 for u in side1) or any(
+        g.neighbors(v) != set1 for v in side2
+    ):
         return None
     return instance_from_assignment(
         n1, len(side2),

@@ -249,14 +249,17 @@ def recognize_cograph(g: Graph):
 def cotree_to_graph(t: Cotree) -> Graph:
     seq, start = t.leaf_spans()
     size = t.size
-    edges = []
+    adj: list[set[int]] = [set() for _ in range(t.n_leaves)]
     for v in t.post_order():
         if t.kind[v] == "J":
             a, b = t.left[v], t.right[v]
+            left = seq[start[a]:start[a] + size[a]]
             right = seq[start[b]:start[b] + size[b]]
-            for x in seq[start[a]:start[a] + size[a]]:
-                edges.extend((x, y) for y in right)
-    return Graph(t.n_leaves, edges)
+            for x in left:
+                adj[x].update(right)
+            for y in right:
+                adj[y].update(left)
+    return Graph(t.n_leaves, adj=adj)
 
 
 # --- rainbow DP --------------------------------------------------------------

@@ -7,7 +7,7 @@ construction, so they can be shared freely between workers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -27,27 +27,45 @@ class GraphParseError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph: no loops, no parallel edges."""
+    """Simple undirected graph: no loops, no parallel edges.
 
-    __slots__ = ("n", "edges", "_adj")
+    The neighbour sets are the stored form; ``edges`` is derived from them
+    on first access and cached.
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    __slots__ = ("n", "_edges", "_adj")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *,
+                 adj: Sequence[AbstractSet[int]] | None = None):
+        """Build from an edge list (each edge checked; repeats merge) or,
+        for builders that already have them, from ``adj``: n neighbour
+        sets, symmetric and loop-free, taken without checks."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in canon:
-            adj[u].add(v)
-            adj[v].add(u)
+        if adj is None:
+            adj = [set() for _ in range(n)]
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                adj[u].add(v)
+                adj[v].add(u)
+        elif len(adj) != n:
+            raise ValueError(f"{len(adj)} neighbour sets for n={n}")
         self.n = n
-        self.edges = frozenset(canon)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._edges = None
+        self._adj = tuple(map(frozenset, adj))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as (u, v) with u < v."""
+        if self._edges is None:
+            edges = frozenset(
+                (u, v) for u, nb in enumerate(self._adj) for v in nb if u < v
+            )
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -63,18 +81,15 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
         """Induced subgraph plus the list mapping new indices to old ones."""
         keep = sorted(set(vertices))
         index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(keep), edges), keep
+        kept = set(keep)
+        adj = [{index[w] for w in self._adj[v] & kept} for v in keep]
+        return Graph(len(keep), adj=adj), keep
 
     def components(self, vertices: Iterable[int] | None = None) -> list[list[int]]:
         """Connected components of G[vertices] (default: all of G), each
@@ -134,10 +149,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -170,26 +185,23 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(
             f"expected {m} edge lines, found {len(lines) - 1}"
         )
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = [set() for _ in range(n)]
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"malformed edge line: {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = ln.split()
+            u, v = int(a), int(b)
         except ValueError:
             raise GraphParseError(f"malformed edge line: {ln!r}") from None
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"vertex out of range in edge ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        nu = adj[u]
+        if v in nu:
             raise GraphParseError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+        nu.add(v)
+        adj[v].add(u)
+    return Graph(n, adj=adj)
 
 
 def render_graph(g: Graph) -> str:
@@ -216,39 +228,37 @@ def cartesian_product_complete(g: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    edges = []
-    for v in range(g.n):
-        base = v * k
+    adj = []
+    for v, nb in enumerate(g._adj):
+        row = range(v * k, v * k + k)
         for c in range(k):
-            for d in range(c + 1, k):
-                edges.append((base + c, base + d))
-    for u, v in g.edges:
-        for c in range(k):
-            edges.append((u * k + c, v * k + c))
-    return Graph(g.n * k, edges)
+            s = {u * k + c for u in nb}
+            s.update(row)
+            s.discard(v * k + c)
+            adj.append(s)
+    return Graph(g.n * k, adj=adj)
 
 
 def graph_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; b's vertices are shifted up by a.n."""
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph(a.n + b.n, edges)
+    shifted = [{x + a.n for x in nb} for nb in b._adj]
+    return Graph(a.n + b.n, adj=list(a._adj) + shifted)
 
 
 def graph_join(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
     g = graph_union(a, b)
-    edges = list(g.edges)
-    for u in range(a.n):
-        for v in range(b.n):
-            edges.append((u, a.n + v))
-    return Graph(a.n + b.n, edges)
+    side_a, side_b = range(a.n), range(a.n, g.n)
+    adj = [nb.union(side_b) for nb in g._adj[:a.n]]
+    adj += [nb.union(side_a) for nb in g._adj[a.n:]]
+    return Graph(g.n, adj=adj)
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    everyone = set(range(g.n))
+    adj = []
+    for v, nb in enumerate(g._adj):
+        s = everyone - nb
+        s.discard(v)
+        adj.append(s)
+    return Graph(g.n, adj=adj)

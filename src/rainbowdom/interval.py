@@ -19,6 +19,7 @@ re-verified computationally by the certification suite.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -78,14 +79,17 @@ def render_intervals(m: IntervalModel) -> str:
 
 
 def interval_graph(m: IntervalModel) -> Graph:
-    edges = []
-    for u in range(m.n):
-        lu, ru = m.intervals[u]
-        for v in range(u + 1, m.n):
-            lv, rv = m.intervals[v]
-            if max(lu, lv) <= min(ru, rv):
-                edges.append((u, v))
-    return Graph(m.n, edges)
+    ivs = m.intervals
+    order = sorted(range(m.n), key=ivs.__getitem__)
+    lefts = [ivs[v][0] for v in order]
+    adj: list[set[int]] = [set() for _ in range(m.n)]
+    for i, u in enumerate(order):
+        # the later starters that start by u's right end are u's overlaps
+        later = order[i + 1:bisect_right(lefts, ivs[u][1])]
+        adj[u].update(later)
+        for v in later:
+            adj[v].add(u)
+    return Graph(m.n, adj=adj)
 
 
 @dataclass(frozen=True)
@@ -381,8 +385,10 @@ def rainbow2_interval(arr: CliqueArrangement, g: Graph | None = None):
 
 
 def _graph_from_arrangement(arr: CliqueArrangement) -> Graph:
-    edges = set()
+    adj: list[set[int]] = [set() for _ in range(arr.n)]
     for K in arr.cliques:
-        for u, v in combinations(sorted(K), 2):
-            edges.add((u, v))
-    return Graph(arr.n, edges)
+        for v in K:
+            adj[v].update(K)
+    for v, nb in enumerate(adj):
+        nb.discard(v)
+    return Graph(arr.n, adj=adj)

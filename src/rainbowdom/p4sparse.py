@@ -138,19 +138,29 @@ class P4SparseTree:
                 stack.append((self.left[v], False))
         return order
 
-    def leaves_of(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.kind]
-        for v in self.post_order():
+    def leaf_spans(self) -> tuple[list[int], list[int]]:
+        """All vertices left to right, and per node the index of its first
+        one: node v's vertices are seq[start[v]:start[v] + size[v]].  A
+        spider lists its feet, then its body, then its head's vertices."""
+        seq: list[int] = []
+        start = [0] * len(self.kind)
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            start[v] = len(seq)
             k = self.kind[v]
             if k == "L":
-                out[v] = [self.leaf_vertex[v]]
+                seq.append(self.leaf_vertex[v])
             elif k == "S":
                 sp = self.spider[v]
-                head = out[self.left[v]] if self.left[v] != -1 else []
-                out[v] = list(sp.feet) + list(sp.body) + head
+                seq.extend(sp.feet)
+                seq.extend(sp.body)
+                if self.left[v] != -1:
+                    stack.append(self.left[v])
             else:
-                out[v] = out[self.left[v]] + out[self.right[v]]
-        return out
+                stack.append(self.right[v])
+                stack.append(self.left[v])
+        return seq, start
 
     def n_vertices(self) -> int:
         return self.size[self.root]
@@ -252,16 +262,17 @@ def parse_p4sparse_tree(text: str) -> P4SparseTree:
 
 
 def _fill_spider_heads(tree: P4SparseTree) -> None:
-    leaves = tree.leaves_of()
+    seq, start = tree.leaf_spans()
     for v in range(len(tree.kind)):
         if tree.kind[v] == "S":
             sp = tree.spider[v]
-            head = tuple(leaves[tree.left[v]]) if tree.left[v] != -1 else ()
+            h = tree.left[v]
+            head = tuple(seq[start[h]:start[h] + tree.size[h]]) if h != -1 else ()
             tree.spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
 
 
 def _check_leaf_cover(tree: P4SparseTree) -> None:
-    vs = tree.leaves_of()[tree.root]
+    vs, _start = tree.leaf_spans()
     if sorted(vs) != list(range(len(vs))):
         raise P4TreeParseError("vertices must be exactly 0..n-1 without repeats")
 
@@ -284,28 +295,40 @@ def render_p4sparse_tree(tree: P4SparseTree) -> str:
 
 
 def p4sparse_to_graph(tree: P4SparseTree) -> Graph:
-    leaves = tree.leaves_of()
-    edges = []
+    seq, start = tree.leaf_spans()
+    size = tree.size
+    adj: list[set[int]] = [set() for _ in range(tree.n_vertices())]
     for v in tree.post_order():
         kindv = tree.kind[v]
         if kindv == "J":
-            for a in leaves[tree.left[v]]:
-                for c in leaves[tree.right[v]]:
-                    edges.append((a, c))
+            a, c = tree.left[v], tree.right[v]
+            left = seq[start[a]:start[a] + size[a]]
+            right = seq[start[c]:start[c] + size[c]]
+            for x in left:
+                adj[x].update(right)
+            for y in right:
+                adj[y].update(left)
         elif kindv == "S":
             sp = tree.spider[v]
-            for i, x in enumerate(sp.body):
-                for y in sp.body[i + 1:]:
-                    edges.append((x, y))
-            for i, f in enumerate(sp.feet):
-                for jdx, x in enumerate(sp.body):
-                    match = (i == jdx) if sp.kind == "thin" else (i != jdx)
-                    if match:
-                        edges.append((f, x))
+            body = set(sp.body)
+            for x in sp.body:
+                adj[x].update(body, sp.head)
+                adj[x].discard(x)
             for h in sp.head:
-                for x in sp.body:
-                    edges.append((h, x))
-    return Graph(tree.n_vertices(), edges)
+                adj[h].update(body)
+            # thin: foot i sees body i; thick: every body vertex but that one
+            if sp.kind == "thin":
+                for f, x in zip(sp.feet, sp.body):
+                    adj[f].add(x)
+                    adj[x].add(f)
+            else:
+                feet = set(sp.feet)
+                for f, x in zip(sp.feet, sp.body):
+                    adj[f].update(body)
+                    adj[f].discard(x)
+                    adj[x].update(feet)
+                    adj[x].discard(f)
+    return Graph(tree.n_vertices(), adj=adj)
 
 
 def count_induced_p4s(g: Graph, vertices) -> int:
@@ -487,16 +510,19 @@ def rainbow_p4sparse(tree: P4SparseTree, k: int, want_witness: bool = True):
     if not want_witness:
         return value, None
 
-    leaves = tree.leaves_of()
+    seq, start = tree.leaf_spans()
     labels: list[frozenset[int]] = [frozenset()] * n
     full = frozenset(range(1, k + 1))
 
+    def leaves(node: int) -> list[int]:
+        return seq[start[node]:start[node] + size[node]]
+
     def fill_singletons(node: int) -> None:
-        for lv in leaves[node]:
+        for lv in leaves(node):
             labels[lv] = frozenset({1})
 
     def fill_plus_cover(node: int) -> None:
-        ls = leaves[node]
+        ls = leaves(node)
         m = len(ls)
         if m >= k:
             for i, lv in enumerate(ls):
@@ -559,8 +585,8 @@ def rainbow_p4sparse(tree: P4SparseTree, k: int, want_witness: bool = True):
                 )
                 _, (ma, mb) = min(branches, key=lambda x: x[0])
                 if ma == "kk":
-                    labels[leaves[a][0]] = full
-                    labels[leaves[c][0]] = full
+                    labels[seq[start[a]]] = full
+                    labels[seq[start[c]]] = full
                 else:
                     stack.append((a, ma))
                     stack.append((c, mb))

@@ -51,13 +51,13 @@ def diagram_to_graph(pi) -> Graph:
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pi[i] > pi[j]
-    ]
-    return Graph(n, edges)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        later = [j for j in range(i + 1, n) if pi[j] < pi[i]]
+        adj[i].update(later)
+        for j in later:
+            adj[j].add(i)
+    return Graph(n, adj=adj)
 
 
 def _greedy_domination_ub(g: Graph) -> int:

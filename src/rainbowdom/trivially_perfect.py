@@ -111,12 +111,22 @@ class RootedTreeModel:
         return out
 
     def derived_graph(self) -> Graph:
-        """Adjacency = strict ancestor relation (quadratic; desk scale)."""
-        edges = []
-        for v in range(self.n):
-            for a in self.ancestors(v):
-                edges.append((v, a))
-        return Graph(self.n, edges)
+        """Adjacency = strict ancestor relation (quadratic; desk scale):
+        each vertex sees its descendants and its ancestors."""
+        n, parents = self.n, self.parents
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for v in reversed(self.order):  # children first
+            p = parents[v]
+            if p != -1:
+                adj[p].update(adj[v])
+                adj[p].add(v)
+        above: list[tuple[int, ...]] = [()] * n
+        for v in self.order:
+            p = parents[v]
+            if p != -1:
+                above[v] = above[p] + (p,)
+                adj[v].update(above[v])
+        return Graph(n, adj=adj)
 
     def subtree_sizes(self) -> list[int]:
         size = [1] * self.n
