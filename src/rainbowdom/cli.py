@@ -200,7 +200,7 @@ def _solve_on_class(problem, cls, model, g, k, j, L):
         arr = build_arrangement(model)
         if problem == "weak":
             return weak2_interval(arr)
-        return rainbow2_interval(arr, g)
+        return rainbow2_interval(arr)
     if cls == "permutation":
         if problem == "weak":
             return weak2_permutation(model)
@@ -315,7 +315,7 @@ def cmd_solve(args) -> int:
             model = _load_model(cls, args.model)
         elif args.graph:
             g = _parse_graph_file(args.graph)
-            model = _recognize_for(cls, g)
+            model = _recognize_for(cls, g) if g.n else None
         else:
             _fail(f"class {cls} needs --model or --graph")
         if g is None:
@@ -335,8 +335,9 @@ def cmd_solve(args) -> int:
         if len(L.pairs) != g.n:
             _fail("assignment size disagrees with the instance")
 
-    chosen = cls
-    if cls == "auto":
+    # no decomposition tree models the empty graph; the oracle answers it
+    chosen = "oracle" if g.n == 0 and model is None else cls
+    if chosen == "auto":
         chosen, model = _auto_class(problem, g)
         if chosen is None and problem == "weakL":
             inst = _try_complete_bipartite(g, L)

@@ -842,7 +842,7 @@ def check_interval_cert(params: dict, rng) -> CheckResult:
                 "interval_cert", t0, False, "weak mismatch",
                 f"model={model.intervals} solver={v} oracle={orc.value}",
             )
-        rv, rw = rainbow2_interval(arr, g)
+        rv, rw = rainbow2_interval(arr)
         rorc = exact_rainbow(g, 2, cap=max(48, 2 * g.n))
         if rv != rorc.value or rv != v:
             return _result(

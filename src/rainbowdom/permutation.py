@@ -1,28 +1,45 @@
-"""2-rainbow (and weak {2}) domination on permutation graphs by a scanline
+"""2-rainbow and weak {2} domination on permutation graphs by a scanline
 sweep over the diagram.
 
-Segments are decided when the scanline passes their first endpoint.  A
-state remembers the labels of crossing segments that carry anything (at
-most eight, at most four with both colors, by exchange arguments) and one
-representative per (side, residual demand) among the crossing unlabeled
-segments still waiting for colors.  Segments that started from the top are
-comparable among themselves -- the one whose bottom endpoint comes first
-both dies first and sees a subset of everyone else's future neighbors --
-and symmetrically for bottom starters, so a waiter is dropped whenever an
-equally-or-more demanding representative on its side ends no later.  A
-state dies when a waiter ends with demand outstanding.
+Segment s runs from top position s to bottom position pi[s].  The sweep
+decides segments in the order their first endpoint is passed, labelling
+each with a mask as in ``sweep``.  A segment that started at the top (side
+0) crosses a later starter u iff pi[u] < pi[s]; one that started at the
+bottom (side 1) crosses u iff u < s.  So a decided segment matters to the
+future only through its side and its pending position, its reach: side 0
+reaches later coordinates pi[u] below pi[s], side 1 later coordinates u
+below s.  The state is a tuple of integers:
 
-The sweep order, state shape and dominance rule are this module's own
-design; correctness is enforced by exhaustive oracle comparison over all
-small permutations in the certification suite.
+- per side, the carriers' reaches (r0, r1), as in ``sweep``;
+- per side and need, the reach of the waiter with that need that reaches
+  least: every later segment crossing it crosses the side's other waiters
+  of that need too.  A waiter lacking everything absorbs the others of its
+  side that reach no less.
+
+After each step every reach is rounded down to one past the largest
+coordinate of a segment still to come below it, which changes nothing that
+is still to come and merges states that differ only in the past.  A waiter
+that rounds to 0 can no longer be helped, and its state dies.
+
+One segment is decided per step, so every label is tried; nothing caps the
+number of carriers or waiters.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graph import Graph
-from .semantics import RainbowFunction, WeightFunction
+from .sweep import (
+    FULL,
+    RAINBOW,
+    WEAK,
+    Labels,
+    advance,
+    as_rainbow,
+    as_weights,
+    cost,
+    gain_at,
+    upper_bound,
+)
 
 __all__ = [
     "parse_permutation",
@@ -60,268 +77,94 @@ def diagram_to_graph(pi) -> Graph:
     return Graph(n, adj=adj)
 
 
-def _greedy_domination_ub(g: Graph) -> int:
-    undominated = set(range(g.n))
-    picks = 0
-    while undominated:
-        best_v, best_gain = None, -1
-        for v in range(g.n):
-            gain = len((g.neighbors(v) | {v}) & undominated)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        undominated -= g.neighbors(best_v) | {best_v}
-        picks += 1
-    return picks
+def _closed_masks(pi) -> list[int]:
+    n = len(pi)
+    return [
+        sum(1 << j for j in range(n) if j == i or (j - i) * (pi[j] - pi[i]) < 0)
+        for i in range(n)
+    ]
 
 
-_SLOTS_RAINBOW = ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3))
-_SLOTS_WEAK = ((0, 1), (0, 2), (1, 1), (1, 2))
+def _rounding(to_come: list[bool], absent: int) -> list[int]:
+    """rounded[r]: one past the largest coordinate still to come below r, or 0;
+    `absent` is kept as it is."""
+    rounded = [0] * (len(to_come) + 2)
+    for r in range(1, len(to_come) + 1):
+        rounded[r] = r if to_come[r - 1] else rounded[r - 1]
+    rounded[-1] = absent
+    return rounded
 
 
-class _Sweep:
-    """Shared scanline machinery; mode 'rainbow' tracks color sets, mode
-    'weak' tracks weights."""
+def _sweep(pi, labels: Labels):
+    """Minimum-cost labelling of the segments: (cost, label per segment)."""
+    n = len(pi)
+    if sorted(pi) != list(range(n)):
+        raise ValueError("not a permutation of 0..n-1")
+    left, join = labels.left, labels.join
+    ub = upper_bound(_closed_masks(pi))
+    absent = n + 1  # the reach of no waiter
+    choices = [(lab, cost(lab)) for lab in (0,) + labels.nonzero]
+    order = sorted(range(n), key=lambda s: min(2 * s, 2 * pi[s] + 1))
+    to_come = ([True] * n, [True] * n)  # bottom positions, top positions
 
-    def __init__(self, pi, mode: str):
-        self.pi = tuple(pi)
-        self.n = len(pi)
-        self.mode = mode
-        n = self.n
-        inv = [0] * n
-        for i, p in enumerate(pi):
-            inv[p] = i
-        # alternating top/bottom endpoint events; segment s has its top at
-        # event 2s and its bottom at event 2*pi[s]+1
-        self.events = []
-        for p in range(n):
-            self.events.append(("T", p))
-            self.events.append(("B", inv[p]))
-        self.start_time = [min(2 * s, 2 * self.pi[s] + 1) for s in range(n)]
-        self.end_time = [max(2 * s, 2 * self.pi[s] + 1) for s in range(n)]
-        self.slots = _SLOTS_RAINBOW if mode == "rainbow" else _SLOTS_WEAK
+    # state key: one (r0, r1, waiter reach per need 1, 2, 3) per side;
+    # value: (cost, prev, label)
+    empty = (0, 0, absent, absent, absent)
+    layers: list[dict] = [{(empty, empty): (0, None, 0)}]
+    for s in order:
+        side = 0 if s <= pi[s] else 1
+        x = (pi[s], s)  # where s is met by side 0 and side 1 reaches
+        reach_s = x[side]
+        to_come[0][pi[s]] = to_come[1][s] = False
+        rounding = (_rounding(to_come[0], absent), _rounding(to_come[1], absent))
+        memo: dict = {}
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return (i - j) * (self.pi[i] - self.pi[j]) < 0
+        def after(t, state, lab, need):
+            """advance() on side t, once per distinct argument in this step."""
+            k = (t, state, lab, need)
+            if k not in memo:
+                own = t == side
+                memo[k] = advance(
+                    labels, state, x[t], lab,
+                    (lab, reach_s) if own and lab else None,
+                    (need, reach_s) if own and not lab else None,
+                    rounding[t],
+                )
+            return memo[k]
 
-    def side(self, s: int) -> int:
-        """0 when the pending endpoint is the bottom (top starter)."""
-        return 0 if self.start_time[s] == 2 * s else 1
-
-    def pending_pos(self, s: int) -> int:
-        return self.pi[s] if self.start_time[s] == 2 * s else s
-
-    def run(self, ub: int):
-        mode_rainbow = self.mode == "rainbow"
-        n = self.n
-        slots = self.slots
-        empty_reps = tuple(None for _ in slots)
-        slot_index = {sd: i for i, sd in enumerate(slots)}
-        start_key = (frozenset(), empty_reps)
-        layers = [{start_key: (0, None, None)}]
-
-        # after event t, the leftmost still-unstarted endpoint on each line;
-        # a crossing segment with nothing unstarted on its open side can be
-        # forgotten (if labeled) or declared dead (if still waiting)
-        n_events = len(self.events)
-        self._min_top = [n] * n_events
-        self._min_bot = [n] * n_events
-        for t in range(n_events):
-            starters = [s for s in range(n) if self.start_time[s] > t]
-            self._min_top[t] = min(starters, default=n)
-            self._min_bot[t] = min((self.pi[s] for s in starters), default=n)
-
-        for time, (kind, seg) in enumerate(self.events):
-            prev_layer = layers[-1]
-            new_layer: dict = {}
-            starting = self.start_time[seg] == time
-            for key, (cost, _p, _a) in prev_layer.items():
-                labeled, reps = key
-                if not starting:
-                    # the segment ends: waiters must be satisfied by now
-                    if seg in reps:
-                        continue
-                    new_labeled = frozenset(
-                        (s, lab) for s, lab in labeled
-                        if s != seg and self._useful(s, time)
-                    )
-                    new_reps = self._filter_reps(reps, time)
-                    if new_reps is None:
-                        continue
-                    new_key = (new_labeled, new_reps)
-                    old = new_layer.get(new_key)
-                    if old is None or cost < old[0]:
-                        new_layer[new_key] = (cost, key, None)
+        layer: dict = {}
+        for key, (base, _prev, _label) in layers[-1].items():
+            have = join[gain_at(key[0], x[0])][gain_at(key[1], x[1])]
+            for lab, c in choices:
+                total = base + c
+                if total > ub:
                     continue
-                for value in self._choices(labeled):
-                    add = value.bit_count() if mode_rainbow else value
-                    if cost + add > ub:
-                        continue
-                    pushed = self._push(labeled, reps, seg, value, slot_index)
-                    if pushed is None:
-                        continue
-                    new_labeled, new_reps = pushed
-                    new_labeled = frozenset(
-                        (s, lab) for s, lab in new_labeled if self._useful(s, time)
-                    )
-                    new_reps = self._filter_reps(new_reps, time)
-                    if new_reps is None:
-                        continue
-                    new_key = (new_labeled, new_reps)
-                    new_cost = cost + add
-                    old = new_layer.get(new_key)
-                    if old is None or new_cost < old[0]:
-                        new_layer[new_key] = (new_cost, key, (seg, value))
-            if not new_layer:
-                return None, None
-            layers.append(new_layer)
-
-        best_key, best = None, None
-        for key, (cost, _p, _a) in layers[-1].items():
-            if best is None or cost < best:
-                best_key, best = key, cost
-        if best_key is None:
-            return None, None
-        assign = [0] * n
-        key = best_key
-        for i in range(len(self.events), 0, -1):
-            cost, prev, act = layers[i][key]
-            if act is not None:
-                assign[act[0]] = act[1]
-            key = prev
-        return best, assign
-
-    def _choices(self, labeled):
-        if self.mode == "rainbow":
-            n_labeled = len(labeled)
-            n_full = sum(1 for _s, lab in labeled if lab == 3)
-            out = [0]
-            if n_labeled < 8:
-                out += [1, 2]
-                if n_full < 4:
-                    out.append(3)
-            return out
-        n_nonzero = len(labeled)
-        n_two = sum(1 for _s, lab in labeled if lab == 2)
-        out = [0]
-        if n_nonzero < 8:
-            out.append(1)
-            if n_two < 4:
-                out.append(2)
-        return out
-
-    def _push(self, labeled, reps, seg, value, slot_index):
-        mode_rainbow = self.mode == "rainbow"
-        side = self.side(seg)
-        new_reps = list(reps)
-
-        if value:
-            # feed every adjacent waiter
-            for idx, rep in enumerate(reps):
-                if rep is None or not self.adjacent(rep, seg):
+                mine = after(side, key[side], lab, 0 if lab else left[FULL][have])
+                other = after(1 - side, key[1 - side], lab, 0)
+                if mine is None or other is None:
                     continue
-                r_side, r_dem = self.slots_at(idx)
-                if mode_rainbow:
-                    residual = r_dem & ~value
-                else:
-                    residual = max(0, r_dem - value)
-                if new_reps[idx] == rep:
-                    new_reps[idx] = None
-                if residual:
-                    self._merge(new_reps, slot_index, (r_side, residual), rep)
-            new_labeled = frozenset(labeled | {(seg, value)})
-            self._prune(new_reps, slot_index)
-            return (new_labeled, tuple(new_reps))
+                new_key = (mine, other) if side == 0 else (other, mine)
+                old = layer.get(new_key)
+                if old is None or total < old[0]:
+                    layer[new_key] = (total, key, lab)
+        layers.append(layer)
 
-        # unlabeled: collect what the crossing carriers already provide
-        if mode_rainbow:
-            credit = 0
-            for s, lab in labeled:
-                if self.adjacent(s, seg):
-                    credit |= lab
-            demand = 3 & ~credit
-        else:
-            credit = 0
-            for s, lab in labeled:
-                if self.adjacent(s, seg):
-                    credit += lab
-            demand = max(0, 2 - credit)
-        if demand:
-            self._merge(new_reps, slot_index, (side, demand), seg)
-            self._prune(new_reps, slot_index)
-        return (frozenset(labeled), tuple(new_reps))
-
-    def slots_at(self, idx: int):
-        return self.slots[idx]
-
-    def _useful(self, s: int, time: int) -> bool:
-        """Whether any still-unstarted segment can cross s after `time`."""
-        if self.start_time[s] == 2 * s:
-            return self._min_bot[time] < self.pi[s]
-        return self._min_top[time] < s
-
-    def _filter_reps(self, reps, time):
-        """A waiter with no future feeder makes the whole state infeasible."""
-        for rep in reps:
-            if rep is not None and not self._useful(rep, time):
-                return None
-        return reps if isinstance(reps, tuple) else tuple(reps)
-
-    def _merge(self, new_reps, slot_index, slot, seg):
-        idx = slot_index[slot]
-        cur = new_reps[idx]
-        p = self.pending_pos
-        if cur is None or (p(seg), seg) < (p(cur), cur):
-            new_reps[idx] = seg
-
-    def _prune(self, new_reps, slot_index):
-        """A waiter is implied by a same-side waiter that demands at least
-        as much and ends no later."""
-        p = self.pending_pos
-        for side in (0, 1):
-            if self.mode == "rainbow":
-                big = new_reps[slot_index[(side, 3)]]
-                if big is None:
-                    continue
-                for dem in (1, 2):
-                    idx = slot_index[(side, dem)]
-                    small = new_reps[idx]
-                    if small is not None and p(big) <= p(small):
-                        new_reps[idx] = None
-            else:
-                big = new_reps[slot_index[(side, 2)]]
-                if big is None:
-                    continue
-                idx = slot_index[(side, 1)]
-                small = new_reps[idx]
-                if small is not None and p(big) <= p(small):
-                    new_reps[idx] = None
+    # every waiter has been rounded away by now, so one state is left
+    ((key, (best, _prev, _label)),) = layers[-1].items()
+    out = [0] * n
+    for s, layer in zip(reversed(order), reversed(layers)):
+        _cost, key, out[s] = layer[key]
+    return best, out
 
 
 def rainbow2_permutation(pi):
     """Exact 2-rainbow domination number of the inversion graph of pi,
-    with a validating witness."""
-    pi = tuple(pi)
-    n = len(pi)
-    if n == 0:
-        return 0, RainbowFunction(2, ())
-    g = diagram_to_graph(pi)
-    ub = 2 * _greedy_domination_ub(g)
-    value, assign = _Sweep(pi, "rainbow").run(ub)
-    assert value is not None, "upper bound excluded every state"
-    labels = tuple(
-        frozenset(c + 1 for c in range(2) if assign[s] >> c & 1) for s in range(n)
-    )
-    return value, RainbowFunction(2, labels)
+    with a witness."""
+    value, out = _sweep(tuple(pi), RAINBOW)
+    return value, as_rainbow(out)
 
 
 def weak2_permutation(pi):
     """Weak {2}-domination number by the same sweep over weights."""
-    pi = tuple(pi)
-    n = len(pi)
-    if n == 0:
-        return 0, WeightFunction(2, ())
-    g = diagram_to_graph(pi)
-    ub = 2 * _greedy_domination_ub(g)
-    value, assign = _Sweep(pi, "weak").run(ub)
-    assert value is not None, "upper bound excluded every state"
-    return value, WeightFunction(2, tuple(assign))
+    value, out = _sweep(tuple(pi), WEAK)
+    return value, as_weights(out)

@@ -138,6 +138,21 @@ def test_solve_interval_and_permutation_models(tmp_path):
     assert code == 0 and out.strip() == "2"
 
 
+@pytest.mark.parametrize("cls", ["auto", "cograph", "oracle"])
+@pytest.mark.parametrize("problem", ["rainbow", "weak"])
+def test_solve_empty_graph(tmp_path, cls, problem):
+    (tmp_path / "empty.graph").write_text("0 0\n")
+    witness = tmp_path / "w.json"
+    code, out, _ = run_cli(
+        "solve", "--problem", problem, "--k", "2", "--class", cls,
+        "--graph", str(tmp_path / "empty.graph"), "--witness", str(witness),
+    )
+    assert code == 0 and out.strip() == "0"
+    doc = json.loads(witness.read_text())
+    assert doc["value"] == 0
+    assert doc["labels" if problem == "rainbow" else "weights"] == {}
+
+
 def test_generate_and_convert_roundtrip(tmp_path):
     run_cli("generate", "thin_spider", "3", "1", "--out", str(tmp_path / "sp"))
     code, out, _ = run_cli(

@@ -85,7 +85,7 @@ def test_p6_values():
     assert v == exact_weight_variant(g, "weak_k", 2).value
     ok, _ = is_weak_k(g, w)
     assert ok and weight_cost(w) == v
-    rv, rw = rainbow2_interval(arr, g)
+    rv, rw = rainbow2_interval(arr)
     assert rv == v == exact_rainbow(g, 2).value
     ok, _ = is_rainbow(g, rw)
     assert ok and rainbow_cost(rw) == rv
@@ -107,7 +107,7 @@ def test_matches_oracle_randomized():
         assert v == exact_weight_variant(g, "weak_k", 2).value, m.intervals
         ok, _ = is_weak_k(g, w)
         assert ok and weight_cost(w) == v
-        rv, rw = rainbow2_interval(arr, g)
+        rv, rw = rainbow2_interval(arr)
         assert rv == v == exact_rainbow(g, 2, cap=24).value
         assert rw is not None
         ok, _ = is_rainbow(g, rw)
@@ -158,3 +158,25 @@ def test_state_count_far_below_dense_bound():
         )
         weak2_interval(build_arrangement(m))
         assert LAST_SWEEP_STATS["max_states"] <= n**8
+
+
+def test_state_count_polynomial_in_cliques():
+    # a weak state is four reaches and a rainbow state five, each one of at
+    # most t + 1 values for t cliques
+    from rainbowdom.interval import LAST_SWEEP_STATS
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(4, 150)
+        width = rng.choice((2, 6, n))
+        spans = []
+        for _ in range(n):
+            lo = rng.randint(0, n)
+            spans.append((lo, lo + rng.randint(0, width)))
+        arr = build_arrangement(IntervalModel(tuple(spans)))
+        t = len(arr.cliques)
+        weak2_interval(arr)
+        assert LAST_SWEEP_STATS["max_states"] <= (t + 1) ** 4
+        assert LAST_SWEEP_STATS["layers"] == t + 1
+        rainbow2_interval(arr)
+        assert LAST_SWEEP_STATS["max_states"] <= (t + 1) ** 5
