@@ -336,7 +336,7 @@ def cmd_solve(args) -> int:
             _fail("assignment size disagrees with the instance")
 
     # no decomposition tree models the empty graph; the oracle answers it
-    chosen = "oracle" if g.n == 0 and model is None else cls
+    chosen = "oracle" if g.n == 0 else cls
     if chosen == "auto":
         chosen, model = _auto_class(problem, g)
         if chosen is None and problem == "weakL":

@@ -47,7 +47,6 @@ from .sweep import (
     advance,
     as_rainbow,
     as_weights,
-    cost,
     gain_at,
     upper_bound,
 )
@@ -180,7 +179,7 @@ def _entrant_options(ents: list[tuple[int, int]], labels: Labels, absent: int):
     lone = len(ents) == 1
     opts = [((), 0, 0, None, lo_last + 1)]
     for lab in labels.nonzero:
-        opts.append((((hi, lab),), cost(lab), lab, (lab, hi_last + 1),
+        opts.append((((hi, lab),), lab.bit_count(), lab, (lab, hi_last + 1),
                      absent if lone else lo_last + 1))
         if lab != FULL and not lone:
             opts.append((((lo, lab),), 1, lab, (lab, lo_last + 1), ents[1][0] + 1))

@@ -11,7 +11,6 @@ Every call is pure and independent; results carry a validating witness.
 
 from __future__ import annotations
 
-import heapq
 import os
 from dataclasses import dataclass
 from typing import Union
@@ -71,22 +70,18 @@ def vertex_cap(cap: int | None = None) -> int:
 
 
 def _greedy_dominating(nb: list[int], full: int) -> list[int]:
-    """Repeatedly take the lowest-numbered vertex that dominates the most
-    vertices not yet dominated.  Gains only shrink, so the heap may hold
-    stale ones: a popped vertex is taken only when its fresh gain still
-    leads the heap."""
     dominated = 0
     chosen: list[int] = []
-    heap = [(-mask.bit_count(), v) for v, mask in enumerate(nb)]
-    heapq.heapify(heap)
     while dominated != full:
-        _, v = heapq.heappop(heap)
-        key = (-(nb[v] & ~dominated).bit_count(), v)
-        if heap and key > heap[0]:
-            heapq.heappush(heap, key)
-            continue
-        chosen.append(v)
-        dominated |= nb[v]
+        best_v = -1
+        best_gain = -1
+        for v, mask in enumerate(nb):
+            gain = bin(mask & ~dominated).count("1")
+            if gain > best_gain:
+                best_gain = gain
+                best_v = v
+        chosen.append(best_v)
+        dominated |= nb[best_v]
     return chosen
 
 

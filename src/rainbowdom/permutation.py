@@ -36,7 +36,6 @@ from .sweep import (
     advance,
     as_rainbow,
     as_weights,
-    cost,
     gain_at,
     upper_bound,
 )
@@ -77,14 +76,6 @@ def diagram_to_graph(pi) -> Graph:
     return Graph(n, adj=adj)
 
 
-def _closed_masks(pi) -> list[int]:
-    n = len(pi)
-    return [
-        sum(1 << j for j in range(n) if j == i or (j - i) * (pi[j] - pi[i]) < 0)
-        for i in range(n)
-    ]
-
-
 def _rounding(to_come: list[bool], absent: int) -> list[int]:
     """rounded[r]: one past the largest coordinate still to come below r, or 0;
     `absent` is kept as it is."""
@@ -98,12 +89,11 @@ def _rounding(to_come: list[bool], absent: int) -> list[int]:
 def _sweep(pi, labels: Labels):
     """Minimum-cost labelling of the segments: (cost, label per segment)."""
     n = len(pi)
-    if sorted(pi) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
+    g = diagram_to_graph(pi)  # raises ValueError on a non-permutation
     left, join = labels.left, labels.join
-    ub = upper_bound(_closed_masks(pi))
+    ub = upper_bound([1 << v | sum(1 << u for u in g.neighbors(v)) for v in range(n)])
     absent = n + 1  # the reach of no waiter
-    choices = [(lab, cost(lab)) for lab in (0,) + labels.nonzero]
+    choices = [(lab, lab.bit_count()) for lab in (0,) + labels.nonzero]
     order = sorted(range(n), key=lambda s: min(2 * s, 2 * pi[s] + 1))
     to_come = ([True] * n, [True] * n)  # bottom positions, top positions
 

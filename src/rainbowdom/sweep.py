@@ -62,10 +62,6 @@ RAINBOW = Labels(
 )
 
 
-def cost(label: int) -> int:
-    return label.bit_count()
-
-
 def as_rainbow(out: list[int]) -> RainbowFunction:
     return RainbowFunction(
         2, tuple(frozenset(c + 1 for c in range(2) if lab >> c & 1) for lab in out)

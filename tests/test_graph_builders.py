@@ -20,7 +20,6 @@ from rainbowdom.graph import (
     graph_union,
     parse_graph,
 )
-from rainbowdom import interval, permutation
 from rainbowdom.interval import IntervalModel, build_arrangement, interval_graph
 from rainbowdom.p4sparse import p4sparse_to_graph, parse_p4sparse_tree
 from rainbowdom.permutation import diagram_to_graph
@@ -29,15 +28,6 @@ from rainbowdom.trivially_perfect import RootedTreeModel
 from test_recognition_properties import gnp, p4sparse_texts
 
 SETTINGS = settings(max_examples=100, deadline=None)
-
-
-def closed_masks(n: int, edges) -> list[int]:
-    """Closed neighbourhoods as bitmasks, as the sweeps' greedy bound reads them."""
-    masks = [1 << v for v in range(n)]
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def assert_same_graph(g: Graph, n: int, reference_edges) -> None:
@@ -147,7 +137,6 @@ def test_interval_graph_and_arrangement(m):
     arr = build_arrangement(m)
     clique_edges = {e for K in arr.cliques for e in combinations(sorted(K), 2)}
     assert_same_graph(interval_graph(m), m.n, clique_edges)
-    assert interval._closed_masks(arr) == closed_masks(m.n, edges)
 
 
 @SETTINGS
@@ -156,7 +145,6 @@ def test_diagram_to_graph(perm, n):
     pi = [x for x in perm if x < n]
     edges = [(i, j) for i, j in combinations(range(n), 2) if pi[i] > pi[j]]
     assert_same_graph(diagram_to_graph(pi), n, edges)
-    assert permutation._closed_masks(pi) == closed_masks(n, edges)
 
 
 @SETTINGS
