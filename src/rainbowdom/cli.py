@@ -422,10 +422,12 @@ def _model_graph(cls: str, model) -> Graph:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        _fail(f"--workers must be at least 1, got {args.workers}")
     if args.plan:
         try:
             plan = CertificationPlan.from_json(_read(args.plan))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             _fail(f"cannot parse plan: {exc}")
         if args.seed is not None:
             plan = CertificationPlan(args.seed, plan.checks)
@@ -439,7 +441,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         _fail(f"plan references an unknown check: {exc}")
     print(report.summary(), file=sys.stderr)
-    doc = report.to_json()
+    doc = report.to_json(include_timing=args.timing)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(doc + "\n")
@@ -585,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--plan", help="plan JSON file (default: built-in plan)")
     vp.add_argument("--seed", type=int)
     vp.add_argument("--full", action="store_true", help="certification-suite scale")
-    vp.add_argument("--workers", type=int, default=1)
+    vp.add_argument("--workers", type=int, default=1,
+                    help="processes running checks, this one included")
+    vp.add_argument("--timing", action="store_true",
+                    help="add each check's seconds to the report")
     vp.add_argument("--out", help="write the report JSON here")
     vp.set_defaults(func=cmd_verify)
 

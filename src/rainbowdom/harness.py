@@ -15,7 +15,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -466,6 +465,10 @@ class CheckResult:
     seconds: float
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CertificationPlan:
     seed: int
@@ -485,11 +488,32 @@ class CertificationPlan:
 
     @staticmethod
     def from_json(text: str) -> "CertificationPlan":
+        """Parse ``{"seed": int, "checks": [{"name": str, "params": {...}}]}``
+        where every parameter is an integer or a list of integers; raises
+        ValueError on any other shape."""
         doc = json.loads(text)
-        return CertificationPlan(
-            int(doc.get("seed", 0)),
-            tuple((c["name"], dict(c.get("params", {}))) for c in doc["checks"]),
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("a plan must be a JSON object")
+        seed = doc.get("seed", 0)
+        if not _is_int(seed):
+            raise ValueError("seed must be an integer")
+        checks = doc.get("checks")
+        if not isinstance(checks, list) or not all(isinstance(c, dict) for c in checks):
+            raise ValueError("checks must be a list of objects")
+        parsed = []
+        for c in checks:
+            name, params = c.get("name"), c.get("params", {})
+            if not isinstance(name, str):
+                raise ValueError("every check needs a string name")
+            if not isinstance(params, dict):
+                raise ValueError(f"params of {name} must be an object")
+            for key, value in params.items():
+                if not (_is_int(value) or isinstance(value, list) and all(map(_is_int, value))):
+                    raise ValueError(
+                        f"{name} parameter {key!r} must be an integer or a list of integers"
+                    )
+            parsed.append((name, params))
+        return CertificationPlan(seed, tuple(parsed))
 
 
 @dataclass(frozen=True)
@@ -535,7 +559,7 @@ class CertificationReport:
 
 
 def _result(name, t0, passed, detail, counterexample=None) -> CheckResult:
-    return CheckResult(name, passed, detail, counterexample, time.time() - t0)
+    return CheckResult(name, passed, detail, counterexample, time.perf_counter() - t0)
 
 
 # --- the checks ----------------------------------------------------------------
@@ -544,7 +568,7 @@ def _result(name, t0, passed, detail, counterexample=None) -> CheckResult:
 def check_reference_constants(params: dict, rng) -> CheckResult:
     """Two externally known value pairs: the 6-cycle by oracle, the
     12-vertex gap cograph by oracle and by the cograph DP."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .cograph import recognize_cograph
 
     c6, _ = generate("cycle", 6)
@@ -566,7 +590,7 @@ def check_reference_constants(params: dict, rng) -> CheckResult:
 
 def check_oracle_cross(params: dict, rng) -> CheckResult:
     """Product-route rainbow oracle versus direct label enumeration."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 5)
     max_k = params.get("max_k", 2)
     count = 0
@@ -612,7 +636,7 @@ def sweep_global_invariants(corpus, ks, cap=None):
 
 
 def check_global_invariants(params: dict, rng) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     count = params.get("count", 100)
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
@@ -635,7 +659,7 @@ def check_cograph_cert(
     weak_solver: Callable = weak_cograph,
 ) -> CheckResult:
     """Every cograph from exhaustive cotree shapes against the oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_leaves = params.get("max_leaves", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
     cap = max(48, max_leaves * max(ks))
@@ -680,7 +704,7 @@ def check_cograph_cert(
 
 def check_p4sparse_cert(params: dict, rng) -> CheckResult:
     """Spider closed forms over the size grid plus full trees vs oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
     feet = tuple(params.get("feet", (2, 3, 4, 5)))
@@ -727,7 +751,7 @@ def check_p4sparse_cert(params: dict, rng) -> CheckResult:
 def check_tp_cert(params: dict, rng) -> CheckResult:
     """Weak {k}-L on every rooted forest with random assignments, the
     reduction identity, and the level rule for (j,k)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
     per_graph = params.get("assignments", 100)
@@ -808,7 +832,7 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
 
 def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
     """The rainbow number equals the weak number on every forest model."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
     count = 0
@@ -829,7 +853,7 @@ def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
 def check_interval_cert(params: dict, rng) -> CheckResult:
     """Sweep DP vs oracle on every interval graph class, re-verifying the
     weak/rainbow equality on the way."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     count = 0
     for g, model in enumerate_interval_models(max_n):
@@ -866,7 +890,7 @@ def check_interval_cert(params: dict, rng) -> CheckResult:
 
 def check_permutation_cert(params: dict, rng) -> CheckResult:
     """Scanline DP vs oracle on all permutations up to the stated size."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     count = 0
     cache: dict = {}
@@ -892,7 +916,7 @@ def check_permutation_cert(params: dict, rng) -> CheckResult:
 def check_bipartite_cert(params: dict, rng) -> CheckResult:
     """Exhaustive demand vectors for small sides, plus seeded random larger
     demands."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_side = params.get("max_side", 4)
     max_k = params.get("max_k", 2)
     randoms = params.get("randoms", 1000)
@@ -937,7 +961,7 @@ def check_bipartite_cert(params: dict, rng) -> CheckResult:
 
 def check_gadget_cert(params: dict, rng) -> CheckResult:
     """Both pendant identities on seeded random split graphs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     count_target = params.get("count", 200)
     max_total = params.get("max_total", 7)
     max_k = params.get("max_k", 3)
@@ -979,7 +1003,7 @@ def check_permutation_weak_gap(params: dict, rng) -> CheckResult:
     numbers on permutation graphs and report whether they ever differ."""
     from .permutation import weak2_permutation
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     max_n = params.get("max_n", 6)
     randoms = params.get("randoms", 100)
     rand_n = params.get("rand_n", 9)
@@ -1023,32 +1047,32 @@ def check_permutation_weak_gap(params: dict, rng) -> CheckResult:
 
 def check_perf_gates(params: dict, rng) -> CheckResult:
     """Throughput gates for the linear-time claims at desk scale."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = []
     t = random_cotree(params.get("cograph_leaves", 100_000), 42)
-    t1 = time.time()
+    t1 = time.perf_counter()
     rainbow_cograph(t, 8)
-    dt = time.time() - t1
+    dt = time.perf_counter() - t1
     results.append(("cograph", dt, params.get("cograph_budget", 1.0)))
     model = random_tree_model(params.get("tp_n", 100_000), 7)
-    t1 = time.time()
+    t1 = time.perf_counter()
     gamma_wk_tp(model, 8)
-    dt = time.time() - t1
+    dt = time.perf_counter() - t1
     results.append(("trivially-perfect", dt, params.get("tp_budget", 2.0)))
     n = params.get("interval_n", 25)
     spans = tuple(
         tuple(sorted((rng.randint(1, n), rng.randint(1, n)))) for _ in range(n)
     )
-    t1 = time.time()
+    t1 = time.perf_counter()
     weak2_interval(build_arrangement(IntervalModel(spans)))
-    dt = time.time() - t1
+    dt = time.perf_counter() - t1
     results.append(("interval", dt, params.get("interval_budget", 60.0)))
     pn = params.get("permutation_n", 30)
     pi = list(range(pn))
     rng.shuffle(pi)
-    t1 = time.time()
+    t1 = time.perf_counter()
     rainbow2_permutation(tuple(pi))
-    dt = time.time() - t1
+    dt = time.perf_counter() - t1
     results.append(("permutation", dt, params.get("permutation_budget", 120.0)))
     slow = [(name, dt, cap) for name, dt, cap in results if dt >= cap]
     if slow:
@@ -1116,21 +1140,38 @@ def default_plan(profile: str = "quick", seed: int = 0) -> CertificationPlan:
     return CertificationPlan(seed, checks)
 
 
+def _run_checks(seed: int, checks) -> list[CheckResult]:
+    """Run ``checks`` one after another.  Module level, with picklable
+    arguments, so a process pool can send it under any start method."""
+    return [
+        CHECKS[name](params, random.Random(f"{seed}:{name}"))
+        for name, params in checks
+    ]
+
+
 def run_plan(plan: CertificationPlan, workers: int = 1) -> CertificationReport:
-    """Execute all checks; each gets its own seed-derived generator, so the
-    report is identical no matter the worker count or completion order."""
+    """Execute all checks in ``w = min(workers, len(plan.checks))``
+    processes, the caller being worker 0: check ``i`` runs in worker
+    ``i mod w``.  Each check gets its own seed-derived generator, so the
+    report is identical for every worker count.  The pool uses the
+    interpreter's start method, which the application may choose."""
     for name, _params in plan.checks:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
-
-    def run_one(item):
-        name, params = item
-        rng = random.Random(f"{plan.seed}:{name}")
-        return CHECKS[name](params, rng)
-
-    if workers <= 1:
-        results = [run_one(item) for item in plan.checks]
+    w = max(1, min(workers, len(plan.checks)))
+    if w == 1:
+        results = _run_checks(plan.seed, plan.checks)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_one, plan.checks))
+        # imported here so that solve never pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        results = [None] * len(plan.checks)
+        with ProcessPoolExecutor(max_workers=w - 1) as pool:
+            futures = [
+                pool.submit(_run_checks, plan.seed, plan.checks[j::w])
+                for j in range(1, w)
+            ]
+            results[0::w] = _run_checks(plan.seed, plan.checks[0::w])
+            for j, future in enumerate(futures, 1):
+                results[j::w] = future.result()
     return CertificationReport(plan.seed, tuple(results))

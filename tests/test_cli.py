@@ -194,6 +194,36 @@ def test_verify_unknown_check(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("params", [{"max_n": "x"}, [1]])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_malformed_plan_exit_2(tmp_path, params, workers):
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps({"checks": [{"name": "tp_cert", "params": params}]}))
+    code, out, err = run_cli("verify", "--plan", str(p), "--workers", workers)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse plan")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_verify_workers_below_one_exit_2(workers):
+    code, _o, err = run_cli("verify", "--workers", workers)
+    assert code == 2 and "--workers" in err
+
+
+def test_verify_timing(tmp_path):
+    plan = {"seed": 1, "checks": [{"name": "reference_constants", "params": {}}]}
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert run_cli("verify", "--plan", str(p), "--out", str(plain))[0] == 0
+    assert run_cli("verify", "--plan", str(p), "--timing", "--out", str(timed))[0] == 0
+    assert "seconds" not in plain.read_text()
+    doc = json.loads(timed.read_text())
+    assert doc["results"][0]["seconds"] > 0
+    del doc["results"][0]["seconds"]
+    assert doc == json.loads(plain.read_text())
+
+
 def test_bench_smoke(capsys):
     code, out, _ = run_cli(
         "bench", "--class", "cograph", "--sizes", "100,1000", "--k", "3"

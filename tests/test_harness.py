@@ -1,7 +1,12 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rainbowdom
 from rainbowdom.graph import Graph
 from rainbowdom.harness import (
     CertificationPlan,
@@ -78,8 +83,8 @@ def test_report_determinism_and_roundtrip():
     plan2 = CertificationPlan.from_json(plan.to_json())
     assert plan2 == plan
     r1 = run_plan(plan)
-    r2 = run_plan(plan, workers=3)
-    assert r1.to_json() == r2.to_json()
+    for workers in (2, 3):
+        assert run_plan(plan, workers=workers).to_json() == r1.to_json()
     assert r1.all_passed
     doc = json.loads(r1.to_json())
     assert doc["all_passed"] is True
@@ -104,3 +109,80 @@ def test_mutation_is_caught():
     assert not result.passed
     assert result.counterexample is not None
     assert "cotree=" in result.counterexample
+
+
+SMALL_PLAN = CertificationPlan(3, (
+    ("reference_constants", {}),
+    ("oracle_cross", {"max_n": 3, "max_k": 1}),
+    ("cograph_cert", {"max_leaves": 4}),
+))
+
+
+def test_pool_gets_one_process_per_share_beyond_the_caller(monkeypatch):
+    """workers=8 on two checks: the caller runs check 0 and a pool of one
+    process gets check 1.  The spy runs the share inline, so no pool starts."""
+    pools, shares = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, seed, checks):
+            shares.append([name for name, _params in checks])
+            future = concurrent.futures.Future()
+            future.set_result(fn(seed, checks))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    plan = CertificationPlan(3, SMALL_PLAN.checks[:2])
+    assert run_plan(plan, workers=8).to_json() == run_plan(plan).to_json()
+    assert pools == [1]
+    assert shares == [["oracle_cross"]]
+
+
+SPAWN_SCRIPT = """\
+import multiprocessing
+import sys
+
+from rainbowdom.harness import CertificationPlan, run_plan
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    plan = CertificationPlan.from_json(sys.stdin.read())
+    sys.stdout.write(run_plan(plan, 2).to_json())
+"""
+
+
+def test_pool_works_under_spawn(tmp_path):
+    script = tmp_path / "spawn_run.py"
+    script.write_text(SPAWN_SCRIPT)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, str(script)], input=SMALL_PLAN.to_json(),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_plan(SMALL_PLAN).to_json()
+
+
+@pytest.mark.parametrize("doc", [
+    {"checks": [{"name": "tp_cert", "params": {"max_n": "x"}}]},
+    {"checks": [{"name": "tp_cert", "params": [1]}]},
+    {"checks": [{"name": "tp_cert", "params": {"ks": [1, True]}}]},
+    {"checks": [{"name": ["tp_cert"]}]},
+    {"checks": [1]},
+    {"checks": {"name": "tp_cert"}},
+    {"seed": None, "checks": []},
+    [1],
+])
+def test_malformed_plan_rejected(doc):
+    with pytest.raises(ValueError):
+        CertificationPlan.from_json(json.dumps(doc))
