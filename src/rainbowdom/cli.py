@@ -13,6 +13,8 @@ import json
 import random
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Graph, GraphParseError, parse_graph, render_graph
 from .semantics import (
@@ -25,7 +27,6 @@ from .semantics import (
     is_weak_k,
     is_weak_kL,
     rainbow_cost,
-    weight_cost,
 )
 from . import oracle as _oracle
 from .oracle import (
@@ -35,8 +36,9 @@ from .oracle import (
 )
 from .cograph import (
     Cotree,
+    CotreeBuilder,
     CotreeParseError,
-    CographRefusal,
+    SpiderPartition,
     cotree_to_graph,
     kdom_cograph,
     parse_cotree,
@@ -45,19 +47,9 @@ from .cograph import (
     random_cotree,
     weak_cograph,
 )
-from .p4sparse import (
-    P4SparseRefusal,
-    P4SparseTree,
-    P4TreeParseError,
-    p4sparse_to_graph,
-    parse_p4sparse_tree,
-    rainbow_p4sparse,
-    recognize_p4sparse,
-    render_p4sparse_tree,
-)
+from .p4sparse import recognize_p4sparse
 from .trivially_perfect import (
     RootedTreeModel,
-    TPRefusal,
     build_tree_model,
     gamma_rk_tp,
     gamma_wkL,
@@ -82,6 +74,7 @@ from .permutation import (
     weak2_permutation,
 )
 from .bipartite import (
+    complete_bipartite_graph,
     instance_from_assignment,
     parse_bipartite_instance,
     weakL_complete_bipartite,
@@ -91,24 +84,6 @@ from .generators import FAMILIES, generate
 from .harness import CertificationPlan, default_plan, run_plan
 
 PROBLEMS = ("rainbow", "weak", "kdom", "jkdom", "weakL")
-CLASSES = (
-    "auto",
-    "cograph",
-    "p4sparse",
-    "trivially-perfect",
-    "interval",
-    "permutation",
-    "complete-bipartite",
-    "oracle",
-)
-
-_COMPAT = {
-    "rainbow": {"auto", "cograph", "p4sparse", "trivially-perfect", "interval", "permutation", "oracle"},
-    "weak": {"auto", "cograph", "trivially-perfect", "interval", "permutation", "oracle"},
-    "kdom": {"auto", "cograph", "oracle"},
-    "jkdom": {"auto", "trivially-perfect", "oracle"},
-    "weakL": {"auto", "trivially-perfect", "complete-bipartite", "oracle"},
-}
 
 
 class CliError(Exception):
@@ -127,6 +102,187 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
+
+
+# --- the (class, problem) table ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GraphClass:
+    """How solve, auto, convert and bench handle one graph class.
+
+    ``solvers`` maps each supported problem to ``solver(model, k, j, L)``,
+    which returns (value, witness or None); the oracle's model is the
+    graph.  ``load`` parses a model file (``kind`` names the file for
+    convert), ``recognize(g, L)`` returns a model of g or the refusal
+    message, and ``to_graph`` builds the graph a model encodes.  bench
+    times ``timed(instance, k)`` on each ``instance = sample(n, rng)``."""
+
+    solvers: dict[str, Callable]
+    load: Callable | None = None
+    kind: str | None = None
+    recognize: Callable | None = None
+    to_graph: Callable | None = None
+    k2_only: bool = False        # the sweeps solve k = 2 only
+    value_only: tuple = ()       # problems solved without a witness
+    sample: Callable | None = None
+    timed: Callable | None = None
+
+
+def _load_cotree(text: str) -> Cotree:
+    t = parse_cotree(text)
+    if "S" in t.kind:
+        raise CotreeParseError("a cotree has no spider nodes")
+    return t
+
+
+def _recognize_cograph(g: Graph, _L):
+    t = recognize_cograph(g)
+    return t if isinstance(t, Cotree) else f"not a cograph: induced path on vertices {t.p4}"
+
+
+def _recognize_p4sparse(g: Graph, _L):
+    t = recognize_p4sparse(g)
+    if isinstance(t, Cotree):
+        return t
+    return f"not in class: vertices {t.witness} induce two 4-paths"
+
+
+def _recognize_tp(g: Graph, _L):
+    m = build_tree_model(g)
+    if isinstance(m, RootedTreeModel):
+        return m
+    return f"not in class: induced {m.kind} on vertices {m.vertices}"
+
+
+def _recognize_complete_bipartite(g: Graph, L: KAssignment):
+    """Instance for the linear solver when g is complete bipartite with the
+    first side 0..n1-1 and the floors are all zero."""
+    refusal = "not complete bipartite with zero floors"
+    if g.n < 2 or any(a for a, _b in L.pairs):
+        return refusal
+    side1 = sorted(set(range(g.n)) - g.neighbors(0) - {0}) + [0]
+    side1 = sorted(side1)
+    side2 = sorted(set(range(g.n)) - set(side1))
+    if side1 != list(range(len(side1))) or not side2:
+        return refusal
+    n1 = len(side1)
+    set1, set2 = frozenset(side1), frozenset(side2)
+    if any(g.neighbors(u) != set2 for u in side1) or any(
+        g.neighbors(v) != set1 for v in side2
+    ):
+        return refusal
+    return instance_from_assignment(
+        n1, len(side2),
+        KAssignment(L.k, tuple(L.pairs[v] for v in side1 + side2)),
+    )
+
+
+def _oracle_solver(problem: str) -> Callable:
+    def solve(g, k, j, L):
+        if problem == "rainbow":
+            res = _oracle.exact_rainbow(g, k)
+        else:
+            variant = {"weak": "weak_k", "kdom": "k_dom", "jkdom": "jk_dom",
+                       "weakL": "weak_kL"}[problem]
+            res = _oracle.exact_weight_variant(g, variant, k, j=j, assignment=L)
+        return res.value, res.witness
+    return solve
+
+
+def _solve_bipartite(m, k, j, L):
+    value, _xy, w = weakL_complete_bipartite(m)
+    return value, w
+
+
+def _random_arrangement(n: int, rng):
+    spans = tuple(
+        tuple(sorted((rng.randint(1, n), rng.randint(1, n)))) for _ in range(n)
+    )
+    return build_arrangement(IntervalModel(spans))
+
+
+def _random_permutation(n: int, rng) -> tuple:
+    pi = list(range(n))
+    rng.shuffle(pi)
+    return tuple(pi)
+
+
+def _seeded(make: Callable) -> Callable:
+    return lambda n, rng: make(n, rng.randrange(1 << 30))
+
+
+def _tree_rainbow(t, k, j, L):
+    return rainbow_cograph(t, k)
+
+
+REGISTRY: dict[str, GraphClass] = {
+    "cograph": GraphClass(
+        {"rainbow": _tree_rainbow,
+         "weak": lambda t, k, j, L: weak_cograph(t, k),
+         "kdom": lambda t, k, j, L: kdom_cograph(t, k)},
+        load=_load_cotree, kind="cotree", recognize=_recognize_cograph,
+        to_graph=cotree_to_graph, sample=_seeded(random_cotree), timed=rainbow_cograph,
+    ),
+    "p4sparse": GraphClass(
+        {"rainbow": _tree_rainbow},
+        load=parse_cotree, kind="p4tree", recognize=_recognize_p4sparse,
+        to_graph=cotree_to_graph,
+    ),
+    "trivially-perfect": GraphClass(
+        {"rainbow": lambda m, k, j, L: (gamma_rk_tp(m, k), None),
+         "weak": lambda m, k, j, L: gamma_wk_tp(m, k),
+         "jkdom": lambda m, k, j, L: jk_domination_tp(m, j, k),
+         "weakL": lambda m, k, j, L: gamma_wkL(m, L)},
+        load=parse_tree_model, kind="tree", recognize=_recognize_tp,
+        to_graph=lambda m: m.derived_graph(), value_only=("rainbow",),
+        sample=_seeded(random_tree_model), timed=gamma_wk_tp,
+    ),
+    "interval": GraphClass(
+        {"rainbow": lambda m, k, j, L: rainbow2_interval(build_arrangement(m)),
+         "weak": lambda m, k, j, L: weak2_interval(build_arrangement(m))},
+        load=parse_intervals, kind="intervals", to_graph=interval_graph, k2_only=True,
+        sample=_random_arrangement, timed=lambda arr, k: weak2_interval(arr),
+    ),
+    "permutation": GraphClass(
+        {"rainbow": lambda pi, k, j, L: rainbow2_permutation(pi),
+         "weak": lambda pi, k, j, L: weak2_permutation(pi)},
+        load=parse_permutation, kind="permutation", to_graph=diagram_to_graph,
+        k2_only=True, sample=_random_permutation,
+        timed=lambda pi, k: rainbow2_permutation(pi),
+    ),
+    "complete-bipartite": GraphClass(
+        {"weakL": _solve_bipartite},
+        load=parse_bipartite_instance, recognize=_recognize_complete_bipartite,
+        to_graph=lambda m: complete_bipartite_graph(m.n1, m.n2),
+    ),
+    "oracle": GraphClass(
+        {p: _oracle_solver(p) for p in PROBLEMS},
+        sample=lambda n, rng: generate("random", n, 0.4, seed=rng.randrange(1 << 30))[0],
+        timed=lambda g, k: _oracle.exact_rainbow(g, k, cap=max(48, g.n * k)),
+    ),
+}
+
+CLASSES = ("auto",) + tuple(REGISTRY)
+
+# problem -> classes --class auto recognizes, in order, before the oracle;
+# every trivially perfect graph is a cograph, so rainbow and weak never
+# need the trivially perfect recognizer
+AUTO = {
+    "rainbow": ("p4sparse",),
+    "weak": ("cograph",),
+    "kdom": ("cograph",),
+    "jkdom": ("trivially-perfect",),
+    "weakL": ("trivially-perfect", "complete-bipartite"),
+}
+
+
+def _read_model(cls: str, path: str):
+    text = _read(path)
+    try:
+        return REGISTRY[cls].load(text)
+    except ValueError as exc:
+        _fail(f"cannot parse model for class {cls}: {exc}")
 
 
 def _witness_json(problem: str, k: int, value: int, witness) -> str:
@@ -156,126 +312,11 @@ def _validate_witness(problem, g, k, j, L, witness) -> None:
         raise AssertionError(f"internal error: witness fails validation at {viol}")
 
 
-def _load_model(cls: str, path: str):
-    text = _read(path)
-    try:
-        if cls == "cograph":
-            return parse_cotree(text)
-        if cls == "p4sparse":
-            return parse_p4sparse_tree(text)
-        if cls == "trivially-perfect":
-            return parse_tree_model(text)
-        if cls == "interval":
-            return parse_intervals(text)
-        if cls == "permutation":
-            return parse_permutation(text)
-        if cls == "complete-bipartite":
-            return parse_bipartite_instance(text)
-    except (ValueError, CotreeParseError, P4TreeParseError) as exc:
-        _fail(f"cannot parse model for class {cls}: {exc}")
-    _fail(f"class {cls} takes no model file")
-
-
-def _solve_on_class(problem, cls, model, g, k, j, L):
-    """Dispatch to the class solver; returns (value, witness-or-None)."""
-    if cls == "cograph":
-        if problem == "rainbow":
-            return rainbow_cograph(model, k)
-        if problem == "weak":
-            return weak_cograph(model, k)
-        if problem == "kdom":
-            return kdom_cograph(model, k)
-    if cls == "p4sparse":
-        return rainbow_p4sparse(model, k)
-    if cls == "trivially-perfect":
-        if problem == "rainbow":
-            return gamma_rk_tp(model, k), None
-        if problem == "weak":
-            return gamma_wk_tp(model, k)
-        if problem == "jkdom":
-            return jk_domination_tp(model, j, k)
-        if problem == "weakL":
-            return gamma_wkL(model, L)
-    if cls == "interval":
-        arr = build_arrangement(model)
-        if problem == "weak":
-            return weak2_interval(arr)
-        return rainbow2_interval(arr)
-    if cls == "permutation":
-        if problem == "weak":
-            return weak2_permutation(model)
-        return rainbow2_permutation(model)
-    if cls == "complete-bipartite":
-        value, _xy, w = weakL_complete_bipartite(model)
-        return value, w
-    raise AssertionError(f"no dispatch for {problem}/{cls}")
-
-
-def _solve_oracle(problem, g, k, j, L):
-    if problem == "rainbow":
-        res = _oracle.exact_rainbow(g, k)
-    elif problem == "weak":
-        res = _oracle.exact_weight_variant(g, "weak_k", k)
-    elif problem == "kdom":
-        res = _oracle.exact_weight_variant(g, "k_dom", k)
-    elif problem == "jkdom":
-        res = _oracle.exact_weight_variant(g, "jk_dom", k, j=j)
-    else:
-        res = _oracle.exact_weight_variant(g, "weak_kL", k, assignment=L)
-    return res.value, res.witness
-
-
-def _auto_class(problem, g):
-    """Try the recognizers appropriate for the problem, cheapest first."""
-    order = {
-        "rainbow": ("cograph", "p4sparse", "trivially-perfect"),
-        "weak": ("cograph", "trivially-perfect"),
-        "kdom": ("cograph",),
-        "jkdom": ("trivially-perfect",),
-        "weakL": ("trivially-perfect",),
-    }[problem]
-    for cls in order:
-        if cls == "cograph":
-            t = recognize_cograph(g)
-            if isinstance(t, Cotree):
-                return cls, t
-        elif cls == "p4sparse":
-            t = recognize_p4sparse(g)
-            if isinstance(t, P4SparseTree):
-                return cls, t
-        else:
-            m = build_tree_model(g)
-            if isinstance(m, RootedTreeModel):
-                return cls, m
-    return None, None
-
-
-def _try_complete_bipartite(g: Graph, L: KAssignment):
-    """Instance for the linear solver when g is complete bipartite with the
-    first side 0..n1-1 and the floors are all zero; None otherwise."""
-    if g.n < 2 or any(a for a, _b in L.pairs):
-        return None
-    side1 = sorted(set(range(g.n)) - g.neighbors(0) - {0}) + [0]
-    side1 = sorted(side1)
-    side2 = sorted(set(range(g.n)) - set(side1))
-    if side1 != list(range(len(side1))) or not side2:
-        return None
-    n1 = len(side1)
-    set1, set2 = frozenset(side1), frozenset(side2)
-    if any(g.neighbors(u) != set2 for u in side1) or any(
-        g.neighbors(v) != set1 for v in side2
-    ):
-        return None
-    return instance_from_assignment(
-        n1, len(side2),
-        KAssignment(L.k, tuple(L.pairs[v] for v in side1 + side2)),
-    )
-
-
 def cmd_solve(args) -> int:
     problem = args.problem
     cls = args.klass
-    if cls not in _COMPAT[problem]:
+    entry = REGISTRY.get(cls)
+    if entry is not None and problem not in entry.solvers:
         _fail(f"problem {problem} cannot be solved with class {cls}")
     k = args.k
     if k is None or k < 1:
@@ -284,25 +325,21 @@ def cmd_solve(args) -> int:
     if problem == "jkdom":
         if j is None or not (1 <= j <= k):
             _fail("--j must satisfy 1 <= j <= k")
-    if problem in ("rainbow", "weak") and cls in ("interval", "permutation") and k != 2:
+    if entry is not None and entry.k2_only and k != 2:
         _fail(f"class {cls} supports only k=2 for this problem")
-    if problem == "rainbow" and cls == "trivially-perfect" and args.witness:
+    if entry is not None and problem in entry.value_only and args.witness:
         _fail("this class computes the rainbow number only; no witness available")
 
     L = None
-    g = None
     model = None
 
     if cls == "complete-bipartite":
         if not args.model:
             _fail("class complete-bipartite needs --model (instance file)")
-        model = _load_model(cls, args.model)
+        model = _read_model(cls, args.model)
         if model.k != k:
             _fail(f"instance file has k={model.k}, flag says k={k}")
-        from .bipartite import complete_bipartite_graph
-
-        g = complete_bipartite_graph(model.n1, model.n2)
-        L = KAssignment(k, tuple((0, 0) for _ in range(g.n)))
+        g = entry.to_graph(model)
         b1 = [0] * model.n1
         for pos, orig in enumerate(model.order1):
             b1[orig] = model.b_sorted[pos]
@@ -310,16 +347,21 @@ def cmd_solve(args) -> int:
         for pos, orig in enumerate(model.order2):
             b2[orig] = model.b_prime_sorted[pos]
         L = KAssignment(k, tuple((0, b) for b in b1 + b2))
-    elif cls in ("cograph", "p4sparse", "trivially-perfect", "interval", "permutation"):
+    elif entry is not None and entry.load is not None:
         if args.model:
-            model = _load_model(cls, args.model)
+            model = _read_model(cls, args.model)
+            g = entry.to_graph(model)
         elif args.graph:
             g = _parse_graph_file(args.graph)
-            model = _recognize_for(cls, g) if g.n else None
+            if g.n:
+                if entry.recognize is None:
+                    _fail(f"class {cls} cannot be recognized from a bare graph; "
+                          f"supply --model")
+                model = entry.recognize(g, L)
+                if isinstance(model, str):
+                    _fail(model)
         else:
             _fail(f"class {cls} needs --model or --graph")
-        if g is None:
-            g = _model_graph(cls, model)
     else:  # oracle or auto
         if not args.graph:
             _fail(f"class {cls} needs --graph")
@@ -338,12 +380,15 @@ def cmd_solve(args) -> int:
     # no decomposition tree models the empty graph; the oracle answers it
     chosen = "oracle" if g.n == 0 else cls
     if chosen == "auto":
-        chosen, model = _auto_class(problem, g)
-        if chosen is None and problem == "weakL":
-            inst = _try_complete_bipartite(g, L)
-            if inst is not None:
-                chosen, model = "complete-bipartite", inst
-        if chosen is None:
+        chosen = "oracle"
+        for name in AUTO[problem]:
+            got = REGISTRY[name].recognize(g, L)
+            if not isinstance(got, str):
+                chosen, model = name, got
+                break
+        if chosen == "p4sparse" and "S" not in model.kind:
+            chosen = "cograph"
+        if chosen == "oracle":
             cap = _oracle.vertex_cap()
             size = g.n * k if problem == "rainbow" else g.n
             if size > cap:
@@ -353,19 +398,13 @@ def cmd_solve(args) -> int:
                     f"RAINBOWDOM_ORACLE_CAP or supply --class with a model",
                     code=3,
                 )
-            chosen = "oracle"
         print(f"auto: solving as {chosen}", file=sys.stderr)
-        if problem == "rainbow" and chosen == "trivially-perfect" and args.witness:
-            _fail("this class computes the rainbow number only; no witness available")
+    if chosen == "oracle":
+        model = g
 
     try:
-        if chosen == "oracle":
-            value, witness = _solve_oracle(problem, g, k, j, L)
-        else:
-            value, witness = _solve_on_class(problem, chosen, model, g, k, j, L)
-    except OracleCapExceeded as exc:
-        _fail(str(exc), code=3)
-    except OracleBudgetExceeded as exc:
+        value, witness = REGISTRY[chosen].solvers[problem](model, k, j, L)
+    except (OracleCapExceeded, OracleBudgetExceeded) as exc:
         _fail(str(exc), code=3)
     except InfeasibleInstance as exc:
         _fail(f"infeasible: {exc}")
@@ -386,39 +425,6 @@ def _parse_graph_file(path: str) -> Graph:
         return parse_graph(_read(path))
     except GraphParseError as exc:
         _fail(f"cannot parse graph: {exc}")
-
-
-def _recognize_for(cls: str, g: Graph):
-    if cls == "cograph":
-        t = recognize_cograph(g)
-        if isinstance(t, CographRefusal):
-            _fail(f"not a cograph: induced path on vertices {t.p4}")
-        return t
-    if cls == "p4sparse":
-        t = recognize_p4sparse(g)
-        if isinstance(t, P4SparseRefusal):
-            _fail(f"not in class: vertices {t.witness} induce two 4-paths")
-        return t
-    if cls == "trivially-perfect":
-        m = build_tree_model(g)
-        if isinstance(m, TPRefusal):
-            _fail(f"not in class: induced {m.kind} on vertices {m.vertices}")
-        return m
-    _fail(f"class {cls} cannot be recognized from a bare graph; supply --model")
-
-
-def _model_graph(cls: str, model) -> Graph:
-    if cls == "cograph":
-        return cotree_to_graph(model)
-    if cls == "p4sparse":
-        return p4sparse_to_graph(model)
-    if cls == "trivially-perfect":
-        return model.derived_graph()
-    if cls == "interval":
-        return interval_graph(model)
-    if cls == "permutation":
-        return diagram_to_graph(model)
-    raise AssertionError(cls)
 
 
 def cmd_verify(args) -> int:
@@ -464,7 +470,6 @@ def cmd_generate(args) -> int:
         fh.write(render_graph(g))
     written = [out + ".graph"]
     if model is not None:
-        from .p4sparse import SpiderPartition, _TreeBuilder
         from .gadgets import SplitPartition
         from .generators import BipartitePartition
 
@@ -473,7 +478,7 @@ def cmd_generate(args) -> int:
                 fh.write(model.to_text() + "\n")
             written.append(out + ".cotree")
         elif isinstance(model, SpiderPartition):
-            b = _TreeBuilder()
+            b = CotreeBuilder()
             head_node = -1
             if model.head:  # generated heads are edgeless
                 head_node = b.leaf(model.head[0])
@@ -481,7 +486,7 @@ def cmd_generate(args) -> int:
                     head_node = b.node("U", head_node, b.leaf(v))
             node = b.spider_node(model, head_node)
             with open(out + ".p4tree", "w") as fh:
-                fh.write(render_p4sparse_tree(b.tree(node)) + "\n")
+                fh.write(b.tree(node).to_text() + "\n")
             written.append(out + ".p4tree")
         elif isinstance(model, SplitPartition):
             with open(out + ".split", "w") as fh:
@@ -496,18 +501,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    kind_to_class = {
-        "cotree": "cograph",
-        "p4tree": "p4sparse",
-        "tree": "trivially-perfect",
-        "intervals": "interval",
-        "permutation": "permutation",
-    }
-    if args.kind not in kind_to_class:
-        _fail(f"unknown model kind {args.kind!r}")
-    cls = kind_to_class[args.kind]
-    model = _load_model(cls, args.model)
-    g = _model_graph(cls, model)
+    cls = next(c for c, entry in REGISTRY.items() if entry.kind == args.kind)
+    g = REGISTRY[cls].to_graph(_read_model(cls, args.model))
     text = render_graph(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -520,45 +515,16 @@ def cmd_convert(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    k = args.k
+    entry = REGISTRY.get(args.klass)
+    if entry is None or entry.sample is None:
+        _fail(f"bench does not support class {args.klass!r}")
     rng = random.Random(args.seed)
     rows = []
     for n in sizes:
-        if args.klass == "cograph":
-            t = random_cotree(n, rng.randrange(1 << 30))
-            t0 = time.time()
-            rainbow_cograph(t, k)
-            dt = time.time() - t0
-        elif args.klass == "trivially-perfect":
-            m = random_tree_model(n, rng.randrange(1 << 30))
-            t0 = time.time()
-            gamma_wk_tp(m, k)
-            dt = time.time() - t0
-        elif args.klass == "interval":
-            spans = tuple(
-                tuple(sorted((rng.randint(1, n), rng.randint(1, n))))
-                for _ in range(n)
-            )
-            arr = build_arrangement(IntervalModel(spans))
-            t0 = time.time()
-            weak2_interval(arr)
-            dt = time.time() - t0
-        elif args.klass == "permutation":
-            pi = list(range(n))
-            rng.shuffle(pi)
-            t0 = time.time()
-            rainbow2_permutation(tuple(pi))
-            dt = time.time() - t0
-        elif args.klass == "oracle":
-            from .generators import generate as _gen
-
-            g, _ = _gen("random", n, 0.4, seed=rng.randrange(1 << 30))
-            t0 = time.time()
-            _oracle.exact_rainbow(g, k, cap=max(48, n * k))
-            dt = time.time() - t0
-        else:
-            _fail(f"bench does not support class {args.klass!r}")
-        rows.append((n, dt))
+        instance = entry.sample(n, rng)
+        t0 = time.time()
+        entry.timed(instance, args.k)
+        rows.append((n, time.time() - t0))
     print(f"{'n':>10}  {'seconds':>10}")
     for n, dt in rows:
         print(f"{n:>10}  {dt:>10.3f}")
@@ -603,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("convert", help="turn a model file into an edge list")
     cp.add_argument("--kind", required=True,
-                    choices=("cotree", "p4tree", "tree", "intervals", "permutation"))
+                    choices=tuple(e.kind for e in REGISTRY.values() if e.kind))
     cp.add_argument("model")
     cp.add_argument("--out")
     cp.set_defaults(func=cmd_convert)

@@ -1,11 +1,21 @@
-"""Cotree construction and the linear-time dynamic programs on cographs.
+"""Decomposition trees and the linear-time dynamic programs on them.
 
-``rainbow_cograph`` evaluates, per cotree node, the cheapest rainbow
-function with no empty label that uses all k colors (a closed form:
-max(subtree size, k)) and the cheapest one with at least one empty label.
+A ``Cotree`` is the decomposition tree of Jamison and Olariu: leaves,
+binary unions (U) and joins (J), and spider nodes (S).  Cographs are the
+graphs whose tree has no spider node; P4-sparse graphs are the graphs
+that have a tree at all.
+
+``rainbow_cograph`` evaluates, per node, the cheapest rainbow function
+with no empty label that uses all k colors (a closed form: max(subtree
+size, k)) and the cheapest one with at least one empty label.  The head
+of a spider never affects the second: one body vertex carries all k
+colors and every head vertex sees it, so the head stays empty.  A thin
+spider with |S| feet costs |S| - 1 + k (one foot empty, its partner
+carries all colors); a thick one costs k + 1 (one body vertex carries
+all colors, its excluded foot takes a single color).
 ``weak_cograph`` and ``kdom_cograph`` tabulate, for q in {0..k}, the
 cheapest weight vector valid when the outside already contributes q to
-every neighborhood sum.
+every neighborhood sum; they take trees without spider nodes.
 
 All traversals are iterative so deep trees are safe.
 """
@@ -20,9 +30,12 @@ from .semantics import RainbowFunction, WeightFunction
 
 __all__ = [
     "Cotree",
+    "CotreeBuilder",
     "CotreeParseError",
     "CographRefusal",
+    "SpiderPartition",
     "parse_cotree",
+    "decompose",
     "recognize_cograph",
     "cotree_to_graph",
     "rainbow_cograph",
@@ -46,135 +59,211 @@ class CographRefusal:
     p4: tuple[int, int, int, int]
 
 
-class Cotree:
-    """Rooted binary decomposition tree; internal nodes are unions or joins.
+@dataclass(frozen=True)
+class SpiderPartition:
+    """Feet S, body K (positionally matched), optional head T.  A thin
+    spider matches each foot to one body vertex; a thick spider matches
+    each foot to all body vertices but one."""
 
-    Stored as parallel arrays indexed by node id; leaves carry distinct
-    vertex indices 0..n-1.
+    kind: str  # 'thin' | 'thick'
+    feet: tuple[int, ...]
+    body: tuple[int, ...]
+    head: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.kind not in ("thin", "thick"):
+            raise ValueError("spider kind must be 'thin' or 'thick'")
+        if len(self.feet) != len(self.body) or len(self.feet) < 2:
+            raise ValueError("need |S| = |K| >= 2")
+
+
+class Cotree:
+    """Rooted decomposition tree stored as parallel arrays indexed by node id.
+
+    ``kind[v]`` is 'L' (a leaf carrying vertex ``leaf_vertex[v]``), 'U' or
+    'J' (union or join of ``left[v]`` and ``right[v]``), or 'S' (spider
+    ``spider[v]``, whose head subtree is ``left[v]``, or -1 without a
+    head).  Leaves and spider feet and bodies carry the vertices 0..n-1,
+    each once; ``n_leaves`` is n.
     """
 
-    __slots__ = ("kind", "left", "right", "leaf_vertex", "root", "size", "n_leaves")
+    __slots__ = ("kind", "left", "right", "leaf_vertex", "spider", "root", "size",
+                 "n_leaves")
 
-    def __init__(self, kind, left, right, leaf_vertex, root):
-        self.kind = kind          # 'L' | 'U' | 'J'
+    def __init__(self, kind, left, right, leaf_vertex, root, spider=None):
+        self.kind = kind
         self.left = left
         self.right = right
         self.leaf_vertex = leaf_vertex
+        self.spider = spider if spider is not None else [None] * len(kind)
         self.root = root
-        self.size = [0] * len(kind)
+        size = self.size = [0] * len(kind)
         for v in self.post_order():
             if kind[v] == "L":
-                self.size[v] = 1
+                size[v] = 1
+            elif kind[v] == "S":
+                head = size[left[v]] if left[v] != -1 else 0
+                size[v] = 2 * len(self.spider[v].feet) + head
             else:
-                self.size[v] = self.size[left[v]] + self.size[right[v]]
-        self.n_leaves = self.size[root]
-        self._validate()
-
-    def _validate(self):
-        seen = set()
-        for v in range(len(self.kind)):
-            if self.kind[v] == "L":
-                seen.add(self.leaf_vertex[v])
-        if seen != set(range(self.n_leaves)):
-            raise ValueError("leaves must carry exactly the vertices 0..n-1")
+                size[v] = size[left[v]] + size[right[v]]
+        self.n_leaves = size[root]
+        seq, start = self.leaf_spans()
+        if set(seq) != set(range(self.n_leaves)):
+            raise ValueError("vertices must be exactly 0..n-1 without repeats")
+        if "S" in kind:
+            for v, sp in enumerate(self.spider):
+                if sp is not None:  # the head is what the head subtree holds
+                    h = left[v]
+                    head = tuple(seq[start[h]:start[h] + size[h]]) if h != -1 else ()
+                    self.spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
 
     def post_order(self) -> list[int]:
+        kind, left, right = self.kind, self.left, self.right
         order = []
         stack = [(self.root, False)]
         while stack:
             v, expanded = stack.pop()
-            if expanded or self.kind[v] == "L":
+            kv = kind[v]
+            if expanded or kv == "L" or (kv == "S" and left[v] == -1):
                 order.append(v)
             else:
                 stack.append((v, True))
-                stack.append((self.right[v], False))
-                stack.append((self.left[v], False))
+                if kv != "S":
+                    stack.append((right[v], False))
+                stack.append((left[v], False))
         return order
 
     def leaf_spans(self) -> tuple[list[int], list[int]]:
-        """All leaf vertices left to right, and per node the index of its
-        first one: node v's leaves are seq[start[v]:start[v] + size[v]]."""
+        """All vertices left to right, and per node the index of its first
+        one: node v's vertices are seq[start[v]:start[v] + size[v]].  A
+        spider lists its feet, then its body, then its head's vertices."""
         seq: list[int] = []
         start = [0] * len(self.kind)
-        for v in self.post_order():
-            if self.kind[v] == "L":
-                start[v] = len(seq)
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            start[v] = len(seq)
+            kv = self.kind[v]
+            if kv == "L":
                 seq.append(self.leaf_vertex[v])
+            elif kv == "S":
+                sp = self.spider[v]
+                seq.extend(sp.feet)
+                seq.extend(sp.body)
+                if self.left[v] != -1:
+                    stack.append(self.left[v])
             else:
-                start[v] = start[self.left[v]]
+                stack.append(self.right[v])
+                stack.append(self.left[v])
         return seq, start
-
-    @staticmethod
-    def from_expr(expr) -> "Cotree":
-        kind, left, right, leaf_vertex = [], [], [], []
-
-        def add(e) -> int:
-            if isinstance(e, int):
-                kind.append("L")
-                left.append(-1)
-                right.append(-1)
-                leaf_vertex.append(e)
-                return len(kind) - 1
-            tag, a, b = e
-            ia, ib = add(a), add(b)
-            kind.append(tag)
-            left.append(ia)
-            right.append(ib)
-            leaf_vertex.append(-1)
-            return len(kind) - 1
-
-        root = add(expr)
-        return Cotree(kind, left, right, leaf_vertex, root)
 
     def to_text(self) -> str:
         parts: dict[int, str] = {}
         for v in self.post_order():
-            if self.kind[v] == "L":
+            kv = self.kind[v]
+            if kv == "L":
                 parts[v] = str(self.leaf_vertex[v])
+            elif kv == "S":
+                sp = self.spider[v]
+                feet = " ".join(map(str, sp.feet))
+                body = " ".join(map(str, sp.body))
+                head = f" {parts[self.left[v]]}" if self.left[v] != -1 else ""
+                parts[v] = f"(S {sp.kind} ({feet}) ({body}){head})"
             else:
-                parts[v] = f"({self.kind[v]} {parts[self.left[v]]} {parts[self.right[v]]})"
+                parts[v] = f"({kv} {parts[self.left[v]]} {parts[self.right[v]]})"
         return parts[self.root]
 
 
+class CotreeBuilder:
+    """Appends nodes to the parallel arrays; each method returns the new
+    node's id, and ``tree(root)`` checks and wraps the result."""
+
+    def __init__(self):
+        self.kind, self.left, self.right = [], [], []
+        self.leaf_vertex, self.spider = [], []
+
+    def _add(self, kind, left, right, leaf_vertex, spider) -> int:
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(right)
+        self.leaf_vertex.append(leaf_vertex)
+        self.spider.append(spider)
+        return len(self.kind) - 1
+
+    def leaf(self, v: int) -> int:
+        return self._add("L", -1, -1, v, None)
+
+    def node(self, tag: str, a: int, b: int) -> int:
+        return self._add(tag, a, b, -1, None)
+
+    def spider_node(self, sp: SpiderPartition, head: int = -1) -> int:
+        return self._add("S", head, -1, -1, sp)
+
+    def tree(self, root: int) -> Cotree:
+        return Cotree(self.kind, self.left, self.right, self.leaf_vertex, root,
+                      self.spider)
+
+
 def parse_cotree(text: str) -> Cotree:
-    """Parse a parenthesized binary cotree such as ``(J (U 0 1) 2)``."""
+    """Parse a parenthesized tree such as ``(J (U 0 1) 2)``: leaves are
+    vertex ids, U and J nodes have two children, and a spider node is
+    ``(S thin|thick (feet..) (body..) [head])``."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    b = CotreeBuilder()
 
-    def parse():
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise CotreeParseError("unexpected end of input")
-        tok = tokens[pos]
         pos += 1
-        if tok == "(":
-            if pos >= len(tokens) or tokens[pos] not in ("U", "J"):
-                raise CotreeParseError("expected tag U or J after '('")
-            tag = tokens[pos]
-            pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse())
-            if pos >= len(tokens):
-                raise CotreeParseError("missing ')'")
-            pos += 1
-            if len(children) != 2:
-                raise CotreeParseError(
-                    f"node {tag} has {len(children)} children, expected 2"
-                )
-            return (tag, children[0], children[1])
-        if tok == ")":
-            raise CotreeParseError("unexpected ')'")
+        return tokens[pos - 1]
+
+    def expect(tok: str) -> None:
+        if take() != tok:
+            raise CotreeParseError(f"expected {tok!r} at token {pos - 1}")
+
+    def vertex(tok: str) -> int:
         try:
             return int(tok)
         except ValueError:
             raise CotreeParseError(f"unexpected token {tok!r}") from None
 
-    expr = parse()
+    def int_list() -> tuple[int, ...]:
+        expect("(")
+        out = []
+        while (tok := take()) != ")":
+            out.append(vertex(tok))
+        return tuple(out)
+
+    def parse() -> int:
+        tok = take()
+        if tok != "(":
+            return b.leaf(vertex(tok))
+        tag = take()
+        if tag in ("U", "J"):
+            node = b.node(tag, parse(), parse())
+        elif tag == "S":
+            kind = take()
+            if kind not in ("thin", "thick"):
+                raise CotreeParseError(f"bad spider kind {kind!r}")
+            feet, body = int_list(), int_list()
+            try:
+                sp = SpiderPartition(kind, feet, body, ())
+            except ValueError as exc:
+                raise CotreeParseError(str(exc)) from None
+            head = parse() if pos < len(tokens) and tokens[pos] != ")" else -1
+            node = b.spider_node(sp, head)
+        else:
+            raise CotreeParseError(f"unknown tag {tag!r}")
+        expect(")")
+        return node
+
+    root = parse()
     if pos != len(tokens):
-        raise CotreeParseError("trailing input after cotree")
+        raise CotreeParseError("trailing input after tree")
     try:
-        return Cotree.from_expr(expr)
+        return b.tree(root)
     except ValueError as exc:
         raise CotreeParseError(str(exc)) from None
 
@@ -196,54 +285,74 @@ def find_induced_p4(g: Graph, vertices=None) -> tuple[int, int, int, int] | None
     return None
 
 
-def recognize_cograph(g: Graph):
-    """Decompose by repeated union/join splits; multiway splits are
-    binarized left to right.  Returns a Cotree or a refusal carrying an
-    induced P4.
+def decompose(g: Graph, stuck):
+    """Split g by unions and joins into a Cotree; multiway splits are
+    binarized left to right.
+
+    A vertex set of two or more that is neither disconnected nor
+    co-disconnected goes to ``stuck(g, vs)``.  It returns a pair (spider
+    partition, head vertices), and the split goes on with the head, or
+    any other value, which is returned as the refusal.
 
     The split runs on an explicit stack, depth first in part order, so the
-    first stuck vertex set (and its P4) does not depend on the depth."""
+    first stuck vertex set does not depend on the depth.  Node ids follow
+    the order in which a recursive builder would create them: all parts of
+    a split, then its left-to-right fold; a spider's head, then the
+    spider."""
     if g.n == 0:
-        raise ValueError("empty graph has no cotree")
-    kind: list[str] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_vertex: list[int] = []
-    frames: list[list] = []  # [tag, parts, next part, folded node so far]
+        raise ValueError("empty graph has no decomposition tree")
+    b = CotreeBuilder()
+    frames: list[list] = []  # [tag, parts, next part, part roots] | ["S", spider]
     vs: list[int] = list(range(g.n))
     while True:
         if len(vs) > 1:
             tag, parts = "U", g.components(vs)
             if len(parts) == 1:
                 tag, parts = "J", g.co_components(vs)
-                if len(parts) == 1:
-                    p4 = find_induced_p4(g, vs)
-                    assert p4 is not None, "undecomposable subgraph must contain a P4"
-                    return CographRefusal(p4)
-            frames.append([tag, parts, 1, -1])
-            vs = parts[0]
-            continue
-        kind.append("L")
-        left.append(-1)
-        right.append(-1)
-        leaf_vertex.append(vs[0])
-        node = len(kind) - 1
+            if len(parts) > 1:
+                frames.append([tag, parts, 1, []])
+                vs = parts[0]
+                continue
+            got = stuck(g, vs)
+            if not isinstance(got, tuple):
+                return got
+            sp, head = got
+            if head:
+                frames.append(["S", sp])
+                vs = head
+                continue
+            node = b.spider_node(sp)
+        else:
+            node = b.leaf(vs[0])
         while frames:
             frame = frames[-1]
-            if frame[3] != -1:
-                kind.append(frame[0])
-                left.append(frame[3])
-                right.append(node)
-                leaf_vertex.append(-1)
-                node = len(kind) - 1
-            frame[3] = node
+            if frame[0] == "S":
+                node = b.spider_node(frame[1], node)
+                frames.pop()
+                continue
+            frame[3].append(node)
             if frame[2] < len(frame[1]):
                 vs = frame[1][frame[2]]
                 frame[2] += 1
                 break
             frames.pop()
+            roots = frame[3]
+            node = roots[0]
+            for r in roots[1:]:
+                node = b.node(frame[0], node, r)
         else:
-            return Cotree(kind, left, right, leaf_vertex, node)
+            return b.tree(node)
+
+
+def _p4_refusal(g: Graph, vs: list[int]) -> CographRefusal:
+    p4 = find_induced_p4(g, vs)
+    assert p4 is not None, "undecomposable subgraph must contain a P4"
+    return CographRefusal(p4)
+
+
+def recognize_cograph(g: Graph):
+    """A Cotree without spider nodes, or a refusal carrying an induced P4."""
+    return decompose(g, _p4_refusal)
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
@@ -251,7 +360,8 @@ def cotree_to_graph(t: Cotree) -> Graph:
     size = t.size
     adj: list[set[int]] = [set() for _ in range(t.n_leaves)]
     for v in t.post_order():
-        if t.kind[v] == "J":
+        kv = t.kind[v]
+        if kv == "J":
             a, b = t.left[v], t.right[v]
             left = seq[start[a]:start[a] + size[a]]
             right = seq[start[b]:start[b] + size[b]]
@@ -259,6 +369,26 @@ def cotree_to_graph(t: Cotree) -> Graph:
                 adj[x].update(right)
             for y in right:
                 adj[y].update(left)
+        elif kv == "S":
+            sp = t.spider[v]
+            body = set(sp.body)
+            for x in sp.body:
+                adj[x].update(body, sp.head)
+                adj[x].discard(x)
+            for h in sp.head:
+                adj[h].update(body)
+            # thin: foot i sees body i; thick: every body vertex but that one
+            if sp.kind == "thin":
+                for f, x in zip(sp.feet, sp.body):
+                    adj[f].add(x)
+                    adj[x].add(f)
+            else:
+                feet = set(sp.feet)
+                for f, x in zip(sp.feet, sp.body):
+                    adj[f].update(body)
+                    adj[f].discard(x)
+                    adj[x].update(feet)
+                    adj[x].discard(f)
     return Graph(t.n_leaves, adj=adj)
 
 
@@ -266,7 +396,7 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
 
 def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
-    """Exact k-rainbow domination number of the cograph the cotree encodes,
+    """Exact k-rainbow domination number of the graph the tree encodes,
     with a validating witness reconstructed by backtracking."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -277,6 +407,9 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     for v in t.post_order():
         kv = kind[v]
         if kv == "L":
+            continue
+        if kv == "S":
+            rm[v] = len(t.spider[v].feet) - 1 + k if t.spider[v].kind == "thin" else k + 1
             continue
         a, b = left[v], right[v]
         if kv == "U":
@@ -330,6 +463,14 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
         else:  # minus
             kindv = t.kind[node]
             assert kindv != "L", "a lone vertex admits no empty label"
+            if kindv == "S":
+                # a body vertex carries all colors; thin: every other foot
+                # takes a single color; thick: only its excluded foot does
+                sp = t.spider[node]
+                labels[sp.body[0]] = full
+                for f in sp.feet[1:] if sp.kind == "thin" else sp.feet[:1]:
+                    labels[f] = frozenset({1})
+                continue
             a, b = t.left[node], t.right[node]
             if kindv == "U":
                 branches = (
@@ -406,6 +547,8 @@ def _weight_dp(t: Cotree, k: int, leaf_value, want_witness: bool):
         elif t.kind[v] == "U":
             ta, tb = tables[t.left[v]], tables[t.right[v]]
             tables[v] = [ta[q] + tb[q] for q in range(k + 1)]
+        elif t.kind[v] == "S":
+            raise ValueError("the weak {k} and {k} DPs take no spider nodes")
         else:
             a, b = t.left[v], t.right[v]
             cap1 = min(2 * k, k * size[a])
@@ -474,21 +617,7 @@ def random_cotree(n_leaves: int, seed: int) -> Cotree:
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
     rng = random.Random(seed)
-    kind, left, right, leaf_vertex = [], [], [], []
-
-    def leaf(v: int) -> int:
-        kind.append("L")
-        left.append(-1)
-        right.append(-1)
-        leaf_vertex.append(v)
-        return len(kind) - 1
-
-    def internal(tag: str, a: int, b: int) -> int:
-        kind.append(tag)
-        left.append(a)
-        right.append(b)
-        leaf_vertex.append(-1)
-        return len(kind) - 1
+    b = CotreeBuilder()
 
     # iterative random parenthesization of the leaf range
     result: dict[tuple[int, int], int] = {}
@@ -497,7 +626,7 @@ def random_cotree(n_leaves: int, seed: int) -> Cotree:
     while stack:
         lo, hi, expanded = stack.pop()
         if hi - lo == 1:
-            result[(lo, hi)] = leaf(lo)
+            result[(lo, hi)] = b.leaf(lo)
             continue
         if not expanded:
             mid = rng.randint(lo + 1, hi - 1)
@@ -508,5 +637,5 @@ def random_cotree(n_leaves: int, seed: int) -> Cotree:
         else:
             mid = splits[(lo, hi)]
             tag = "U" if rng.random() < 0.5 else "J"
-            result[(lo, hi)] = internal(tag, result[(lo, mid)], result[(mid, hi)])
-    return Cotree(kind, left, right, leaf_vertex, result[(0, n_leaves)])
+            result[(lo, hi)] = b.node(tag, result[(lo, mid)], result[(mid, hi)])
+    return b.tree(result[(0, n_leaves)])

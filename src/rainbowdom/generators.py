@@ -7,9 +7,8 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, graph_join, graph_union
-from .cograph import Cotree
+from .cograph import SpiderPartition, parse_cotree
 from .gadgets import SplitPartition
-from .p4sparse import SpiderPartition
 
 __all__ = ["BipartitePartition", "generate", "FAMILIES"]
 
@@ -100,13 +99,8 @@ def _rainbow_gap():
     p3 = _path(3)
     side = graph_union(p3, p3)
     g = graph_join(side, side)
-    path_expr = lambda a: ("J", a + 1, ("U", a, a + 2))
-    expr = (
-        "J",
-        ("U", path_expr(0), path_expr(3)),
-        ("U", path_expr(6), path_expr(9)),
-    )
-    return g, Cotree.from_expr(expr)
+    path = lambda a: f"(J {a + 1} (U {a} {a + 2}))"
+    return g, parse_cotree(f"(J (U {path(0)} {path(3)}) (U {path(6)} {path(9)}))")
 
 
 FAMILIES = (

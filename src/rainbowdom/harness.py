@@ -37,17 +37,17 @@ from .oracle import (
     exact_rainbow_direct,
     exact_weight_variant,
 )
-from .cograph import Cotree, cotree_to_graph, rainbow_cograph, weak_cograph, kdom_cograph, random_cotree
-from .p4sparse import (
-    P4SparseTree,
+from .cograph import (
+    Cotree,
+    CotreeBuilder,
     SpiderPartition,
-    _TreeBuilder,
-    p4sparse_to_graph,
-    rainbow_p4sparse,
-    rainbow_thick_spider,
-    rainbow_thin_spider,
-    render_p4sparse_tree,
+    cotree_to_graph,
+    kdom_cograph,
+    rainbow_cograph,
+    random_cotree,
+    weak_cograph,
 )
+from .p4sparse import rainbow_thick_spider, rainbow_thin_spider
 from .trivially_perfect import (
     RootedTreeModel,
     gamma_rk_tp,
@@ -187,69 +187,14 @@ def _multisets(atoms, total, min_parts, start=0, acc=None, out=None):
     return out
 
 
-def _cograph_forms(max_n: int):
-    """Canonical unlabeled cotree shapes per size: a form is ('L',) or
-    (tag, children) with children none of them tag-rooted."""
-    leaf = ("L",)
-    forms: dict[int, list] = {1: [leaf]}
-    sizes: dict = {leaf: 1}
-    for n in range(2, max_n + 1):
-        out = []
-        for tag in ("U", "J"):
-            atoms = [(1, leaf)]
-            for m in range(2, n):
-                for f in forms[m]:
-                    if f[0] != tag:
-                        atoms.append((m, f))
-            for children in _multisets(atoms, n, 2):
-                form = (tag, children)
-                sizes[form] = n
-                out.append(form)
-        forms[n] = out
-    return forms
-
-
-def _form_to_expr(form, counter):
-    if form == ("L",):
-        v = counter[0]
-        counter[0] += 1
-        return v
-    tag, children = form
-    exprs = [_form_to_expr(c, counter) for c in children]
-    acc = exprs[0]
-    for e in exprs[1:]:
-        acc = (tag, acc, e)
-    return acc
-
-
-def enumerate_cographs(max_n: int):
-    """All cographs up to isomorphism per size, as (Cotree, Graph) pairs."""
-    forms = _cograph_forms(max_n)
-    out = []
-    for n in range(1, max_n + 1):
-        for form in forms[n]:
-            counter = [0]
-            t = Cotree.from_expr(_form_to_expr(form, counter))
-            out.append((t, cotree_to_graph(t)))
-    return out
-
-
-def _p4sparse_forms(max_n: int):
-    """Cograph shapes extended with spider atoms ('S', kind, s, head)."""
+def _tree_forms(max_n: int, spiders: bool):
+    """Canonical unlabeled decomposition-tree shapes per size: a form is
+    ('L',), (tag, children) with children none of them tag-rooted, or,
+    with ``spiders``, a spider atom ('S', kind, s, head form or None)."""
     leaf = ("L",)
     forms: dict[int, list] = {1: [leaf]}
     for n in range(2, max_n + 1):
         out = []
-        spiders = []
-        for s in range(2, n // 2 + 1):
-            head_n = n - 2 * s
-            kinds = ["thin"] + (["thick"] if s >= 3 else [])
-            for kind in kinds:
-                if head_n == 0:
-                    spiders.append(("S", kind, s, None))
-                else:
-                    for hf in forms[head_n]:
-                        spiders.append(("S", kind, s, hf))
         for tag in ("U", "J"):
             atoms = [(1, leaf)]
             for m in range(2, n):
@@ -258,20 +203,16 @@ def _p4sparse_forms(max_n: int):
                         atoms.append((m, f))
             for children in _multisets(atoms, n, 2):
                 out.append((tag, children))
-        forms[n] = out + spiders
+        for s in range(2, n // 2 + 1) if spiders else ():
+            head_n = n - 2 * s
+            for kind in ["thin"] + (["thick"] if s >= 3 else []):
+                for hf in forms[head_n] if head_n else (None,):
+                    out.append(("S", kind, s, hf))
+        forms[n] = out
     return forms
 
 
-def _p4form_size(form) -> int:
-    if form == ("L",):
-        return 1
-    if form[0] == "S":
-        head = _p4form_size(form[3]) if form[3] is not None else 0
-        return 2 * form[2] + head
-    return sum(_p4form_size(c) for c in form[1])
-
-
-def _p4form_build(form, b: _TreeBuilder, counter):
+def _form_build(form, b: CotreeBuilder, counter):
     if form == ("L",):
         v = counter[0]
         counter[0] += 1
@@ -279,36 +220,37 @@ def _p4form_build(form, b: _TreeBuilder, counter):
     if form[0] == "S":
         _tag, kind, s, head_form = form
         feet = tuple(range(counter[0], counter[0] + s))
-        counter[0] += s
-        body = tuple(range(counter[0], counter[0] + s))
-        counter[0] += s
-        head_node = -1
-        head = ()
-        if head_form is not None:
-            start = counter[0]
-            head_node = _p4form_build(head_form, b, counter)
-            head = tuple(range(start, counter[0]))
-        return b.spider_node(SpiderPartition(kind, feet, body, head), head_node)
+        body = tuple(range(counter[0] + s, counter[0] + 2 * s))
+        counter[0] += 2 * s
+        head_node = _form_build(head_form, b, counter) if head_form is not None else -1
+        return b.spider_node(SpiderPartition(kind, feet, body, ()), head_node)
     tag, children = form
-    nodes = [_p4form_build(c, b, counter) for c in children]
+    nodes = [_form_build(c, b, counter) for c in children]
     acc = nodes[0]
     for nd in nodes[1:]:
         acc = b.node(tag, acc, nd)
     return acc
 
 
-def enumerate_p4sparse_trees(max_n: int):
-    """Decomposition trees (with spiders) per size, as (tree, Graph)."""
-    forms = _p4sparse_forms(max_n)
+def _enumerate_trees(max_n: int, spiders: bool):
+    forms = _tree_forms(max_n, spiders)
     out = []
     for n in range(1, max_n + 1):
         for form in forms[n]:
-            b = _TreeBuilder()
-            counter = [0]
-            root = _p4form_build(form, b, counter)
-            tree = b.tree(root)
-            out.append((tree, p4sparse_to_graph(tree)))
+            b = CotreeBuilder()
+            tree = b.tree(_form_build(form, b, [0]))
+            out.append((tree, cotree_to_graph(tree)))
     return out
+
+
+def enumerate_cographs(max_n: int):
+    """All cographs up to isomorphism per size, as (Cotree, Graph) pairs."""
+    return _enumerate_trees(max_n, spiders=False)
+
+
+def enumerate_p4sparse_trees(max_n: int):
+    """Decomposition trees (with spiders) per size, as (Cotree, Graph)."""
+    return _enumerate_trees(max_n, spiders=True)
 
 
 def _rooted_tree_forms(max_n: int):
@@ -469,6 +411,53 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_SIZE = (False, 1)
+_COUNT = (False, 0)
+_KS = (True, 1)
+
+# check -> parameter -> (is a list, least value); a list parameter must be
+# non-empty with every member at least the least value
+_PARAM_RULES = {
+    "oracle_cross": {"max_n": _SIZE, "max_k": _SIZE},
+    "global_invariants": {"count": _COUNT, "max_n": _SIZE, "ks": _KS},
+    "cograph_cert": {"max_leaves": _SIZE, "ks": _KS},
+    "p4sparse_cert": {"max_n": _SIZE, "ks": _KS, "feet": (True, 2), "heads": (True, 0)},
+    "tp_cert": {"max_n": _SIZE, "ks": _KS, "assignments": _COUNT, "jk_max": _SIZE},
+    "tp_rainbow_equality": {"max_n": _SIZE, "ks": _KS},
+    "interval_cert": {"max_n": _SIZE},
+    "permutation_cert": {"max_n": _SIZE},
+    "permutation_weak_gap": {"max_n": _SIZE, "randoms": _COUNT, "rand_n": _SIZE},
+    "bipartite_cert": {"max_side": _SIZE, "max_k": _SIZE, "randoms": _COUNT,
+                       "rand_k": _SIZE},
+    "gadget_cert": {"count": _COUNT, "max_total": (False, 2), "max_k": _SIZE,
+                    "product_cap": _SIZE},
+    "perf_gates": {
+        **{f"{c}_n": _SIZE for c in ("tp", "interval", "permutation")},
+        "cograph_leaves": _SIZE,
+        **{f"{c}_budget": _COUNT for c in ("cograph", "tp", "interval", "permutation")},
+    },
+}
+
+
+def _check_param(name: str, key: str, value) -> None:
+    """Raise ValueError unless the value keeps the check's rule for the
+    parameter; without a rule, any integer or list of integers will do."""
+    rule = _PARAM_RULES.get(name, {}).get(key)
+    if rule is None:
+        if not (_is_int(value) or isinstance(value, list) and all(map(_is_int, value))):
+            raise ValueError(
+                f"{name} parameter {key!r} must be an integer or a list of integers"
+            )
+        return
+    is_list, least = rule
+    values = value if is_list and isinstance(value, list) else [value]
+    if is_list != isinstance(value, list) or not values or not all(
+        _is_int(v) and v >= least for v in values
+    ):
+        what = "a non-empty list of integers" if is_list else "an integer"
+        raise ValueError(f"{name} parameter {key!r} must be {what} >= {least}")
+
+
 @dataclass(frozen=True)
 class CertificationPlan:
     seed: int
@@ -489,8 +478,9 @@ class CertificationPlan:
     @staticmethod
     def from_json(text: str) -> "CertificationPlan":
         """Parse ``{"seed": int, "checks": [{"name": str, "params": {...}}]}``
-        where every parameter is an integer or a list of integers; raises
-        ValueError on any other shape."""
+        where every parameter is an integer or a list of integers within
+        its check's range; raises ValueError on anything else, before any
+        check runs."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a plan must be a JSON object")
@@ -508,10 +498,7 @@ class CertificationPlan:
             if not isinstance(params, dict):
                 raise ValueError(f"params of {name} must be an object")
             for key, value in params.items():
-                if not (_is_int(value) or isinstance(value, list) and all(map(_is_int, value))):
-                    raise ValueError(
-                        f"{name} parameter {key!r} must be an integer or a list of integers"
-                    )
+                _check_param(name, key, value)
             parsed.append((name, params))
         return CertificationPlan(seed, tuple(parsed))
 
@@ -735,14 +722,14 @@ def check_p4sparse_cert(params: dict, rng) -> CheckResult:
     count = 0
     for tree, g in enumerate_p4sparse_trees(max_n):
         for k in ks:
-            v, w = rainbow_p4sparse(tree, k)
+            v, w = rainbow_cograph(tree, k)
             orc = exact_rainbow(g, k, cap=max(48, g.n * max(ks)))
             ok_w, _ = is_rainbow(g, w)
             if v != orc.value or not ok_w or rainbow_cost(w) != v:
                 return _result(
                     "p4sparse_cert", t0, False,
                     f"tree mismatch k={k}",
-                    f"tree={render_p4sparse_tree(tree)} solver={v} oracle={orc.value}",
+                    f"tree={tree.to_text()} solver={v} oracle={orc.value}",
                 )
             count += 1
     return _result("p4sparse_cert", t0, True, f"grid + {count} (tree, k) pairs")

@@ -502,8 +502,7 @@ def gamma_wk_tp(model: RootedTreeModel, k: int):
 def gamma_rk_tp(model: RootedTreeModel, k: int) -> int:
     """Rainbow domination number, using the equality with the weak number
     on this class; value only, no rainbow witness."""
-    value, _ = gamma_wk_tp(model, k)
-    return min(value, model.n)
+    return gamma_wk_tp(model, k)[0]
 
 
 def jk_domination_tp(model: RootedTreeModel, j: int, k: int):

@@ -279,3 +279,84 @@ def test_oracle_cap_env_override(tmp_path, monkeypatch):
         "--graph", str(tmp_path / "k23.graph"),
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("check, params", [
+    ("cograph_cert", {"ks": []}),
+    ("p4sparse_cert", {"feet": [-1]}),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_out_of_range_plan_exit_2(tmp_path, check, params, workers):
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps({"checks": [{"name": check, "params": params}]}))
+    code, out, err = run_cli("verify", "--plan", str(p), "--workers", workers)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse plan")
+
+
+@pytest.mark.parametrize("problem", ["rainbow", "weak", "kdom"])
+def test_cograph_class_refuses_spider_model(tmp_path, problem):
+    (tmp_path / "sp.p4tree").write_text("(U (S thin (0 1) (2 3)) 4)\n")
+    code, out, err = run_cli(
+        "solve", "--problem", problem, "--k", "2", "--class", "cograph",
+        "--model", str(tmp_path / "sp.p4tree"),
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "spider" in err
+
+
+# the (problem, class) support matrix before the classes moved into one
+# table; the table must neither widen nor narrow it
+COMPAT = {
+    "rainbow": {"auto", "cograph", "p4sparse", "trivially-perfect", "interval", "permutation", "oracle"},
+    "weak": {"auto", "cograph", "trivially-perfect", "interval", "permutation", "oracle"},
+    "kdom": {"auto", "cograph", "oracle"},
+    "jkdom": {"auto", "trivially-perfect", "oracle"},
+    "weakL": {"auto", "trivially-perfect", "complete-bipartite", "oracle"},
+}
+
+
+@pytest.fixture
+def star_inputs(tmp_path):
+    """The star K_{1,2} (centre 0) in every input form the CLI reads."""
+    files = {
+        "graph": "3 2\n0 1\n0 2\n",
+        "cotree": "(J 0 (U 1 2))\n",
+        "tree": "0 -1\n1 0\n2 0\n",
+        "intervals": "0 0 2\n1 0 0\n2 2 2\n",
+        "permutation": "3 1 2\n",
+        "bip": "1 2 2\n2\n2 2\n",
+        "assign": "0 0 2\n1 0 2\n2 0 2\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"star.{name}"
+        paths[name].write_text(text)
+    return paths
+
+
+def test_class_table_matches_support_matrix(star_inputs):
+    from rainbowdom.cli import CLASSES, PROBLEMS
+
+    inputs = {
+        "cograph": "cotree", "p4sparse": "cotree", "trivially-perfect": "tree",
+        "interval": "intervals", "permutation": "permutation",
+        "complete-bipartite": "bip",
+    }
+    assert set(COMPAT) == set(PROBLEMS)
+    for problem in PROBLEMS:
+        for cls in CLASSES:
+            argv = ["solve", "--problem", problem, "--k", "2", "--class", cls]
+            if problem == "jkdom":
+                argv += ["--j", "1"]
+            if cls in inputs:
+                argv += ["--model", str(star_inputs[inputs[cls]])]
+            else:
+                argv += ["--graph", str(star_inputs["graph"])]
+            if problem == "weakL" and cls != "complete-bipartite":
+                argv += ["--assignment", str(star_inputs["assign"])]
+            code, out, err = run_cli(*argv)
+            if cls in COMPAT[problem]:
+                assert code == 0 and out.strip().isdigit(), (problem, cls, err)
+            else:
+                assert code == 2 and "cannot be solved" in err, (problem, cls)

@@ -142,10 +142,7 @@ def test_certified_against_oracle_small():
 
 def test_weak_join_of_edgeless_sides():
     # both sides need their own weight for the other side's zero vertices
-    expr = ("J",
-            ("U", ("U", 0, 1), ("U", 2, 3)),
-            ("U", ("U", 4, 5), ("U", 6, 7)))
-    t = Cotree.from_expr(expr)
+    t = parse_cotree("(J (U (U 0 1) (U 2 3)) (U (U 4 5) (U 6 7)))")
     g = cotree_to_graph(t)
     for k in (1, 2, 3):
         assert weak_cograph(t, k)[0] == exact_weight_variant(g, "weak_k", k).value
@@ -157,3 +154,14 @@ def test_large_tree_fast():
     v, w = rainbow_cograph(t, 8)
     assert time.time() - t0 < 2.0
     assert isinstance(v, int) and len(w.labels) == 100_000
+
+
+@pytest.mark.parametrize("solver", [weak_cograph, kdom_cograph])
+def test_weight_dps_refuse_spider_nodes(solver):
+    t = parse_cotree("(J (S thin (0 1) (2 3)) 4)")
+    assert "S" in t.kind
+    with pytest.raises(ValueError):
+        solver(t, 2)
+    with pytest.raises(ValueError):
+        solver(t, 2, want_witness=False)
+

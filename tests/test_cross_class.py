@@ -3,14 +3,23 @@
 Trivially perfect graphs are interval graphs (nested DFS intervals of the
 rooted forest) and cographs are permutation graphs (separable permutations:
 a union is a direct sum, a join a skew sum), so the sweeps must agree with
-the tree DPs there.  Every witness is validated.
+the tree DPs there.  Trivially perfect graphs are also cographs, so the
+forest DPs must agree with the decomposition-tree DPs.  Every witness is
+validated.
 """
 
 import random
 
 import pytest
 
-from rainbowdom.cograph import cotree_to_graph, random_cotree, rainbow_cograph, weak_cograph
+from rainbowdom.cograph import (
+    Cotree,
+    cotree_to_graph,
+    random_cotree,
+    rainbow_cograph,
+    recognize_cograph,
+    weak_cograph,
+)
 from rainbowdom.interval import (
     IntervalModel,
     build_arrangement,
@@ -18,6 +27,7 @@ from rainbowdom.interval import (
     rainbow2_interval,
     weak2_interval,
 )
+from rainbowdom.p4sparse import recognize_p4sparse
 from rainbowdom.permutation import diagram_to_graph, rainbow2_permutation, weak2_permutation
 from rainbowdom.semantics import is_rainbow, is_weak_k, rainbow_cost, weight_cost
 from rainbowdom.trivially_perfect import (
@@ -122,3 +132,24 @@ def test_permutation_sweeps_match_cograph(n):
         assert value == cvalue
         assert_valid(g, w, value, is_weak_k, weight_cost)
         assert_valid(h, cw, cvalue, is_weak_k, weight_cost)
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_tree_dps_match_trivially_perfect(n):
+    # a forest: the tree without its root, which alone dominates the tree
+    model = RootedTreeModel([p - 1 for p in random_tree_model(n + 1, n).parents[1:]])
+    g = model.derived_graph()
+    cotree, p4tree = recognize_cograph(g), recognize_p4sparse(g)
+    assert isinstance(cotree, Cotree) and isinstance(p4tree, Cotree)
+    assert "S" not in p4tree.kind
+    for k in (1, 2, 3):
+        value = gamma_rk_tp(model, k)
+        for tree in (cotree, p4tree):
+            rv, f = rainbow_cograph(tree, k)
+            assert rv == value
+            assert_valid(g, f, rv, is_rainbow, rainbow_cost)
+        wv, w = gamma_wk_tp(model, k)
+        cv, cw = weak_cograph(cotree, k)
+        assert wv == cv
+        assert_valid(g, w, wv, is_weak_k, weight_cost)
+        assert_valid(g, cw, cv, is_weak_k, weight_cost)

@@ -12,7 +12,7 @@ import pytest
 import rainbowdom
 from rainbowdom.cograph import Cotree, rainbow_cograph, recognize_cograph
 from rainbowdom.graph import Graph, render_graph
-from rainbowdom.p4sparse import P4SparseTree, recognize_p4sparse
+from rainbowdom.p4sparse import recognize_p4sparse
 from rainbowdom.semantics import is_rainbow
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
@@ -50,7 +50,7 @@ def test_recognizers_return_trees(deep_graph):
     t = recognize_cograph(deep_graph)
     assert isinstance(t, Cotree)
     assert cotree_depth(t) > sys.getrecursionlimit()
-    assert isinstance(recognize_p4sparse(deep_graph), P4SparseTree)
+    assert isinstance(recognize_p4sparse(deep_graph), Cotree)
     assert isinstance(build_tree_model(deep_graph), RootedTreeModel)
 
 

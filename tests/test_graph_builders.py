@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowdom.bipartite import complete_bipartite_graph
-from rainbowdom.cograph import Cotree, cotree_to_graph, random_cotree
+from rainbowdom.cograph import Cotree, cotree_to_graph, parse_cotree, random_cotree
 from rainbowdom.graph import (
     Graph,
     GraphParseError,
@@ -21,7 +21,6 @@ from rainbowdom.graph import (
     parse_graph,
 )
 from rainbowdom.interval import IntervalModel, build_arrangement, interval_graph
-from rainbowdom.p4sparse import p4sparse_to_graph, parse_p4sparse_tree
 from rainbowdom.permutation import diagram_to_graph
 from rainbowdom.trivially_perfect import RootedTreeModel
 
@@ -77,7 +76,7 @@ def test_cotree_to_graph(n, seed, data):
 @SETTINGS
 @given(p4sparse_texts(max_n=20))
 def test_p4sparse_to_graph_and_leaf_spans(text):
-    tree = parse_p4sparse_tree(text)
+    tree = parse_cotree(text)
     leaves = leaf_lists(tree.kind, tree.left, tree.right, tree.leaf_vertex,
                         tree.root, tree.spider)
     seq, start = tree.leaf_spans()
@@ -93,7 +92,7 @@ def test_p4sparse_to_graph_and_leaf_spans(text):
             edges += [(f, x) for i, f in enumerate(sp.feet) for j, x in enumerate(sp.body)
                       if (i == j) == (sp.kind == "thin")]
             edges += [(h, x) for h in sp.head for x in sp.body]
-    assert_same_graph(p4sparse_to_graph(tree), tree.n_vertices(), edges)
+    assert_same_graph(cotree_to_graph(tree), tree.n_leaves, edges)
 
 
 @SETTINGS

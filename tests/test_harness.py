@@ -186,3 +186,9 @@ def test_pool_works_under_spawn(tmp_path):
 def test_malformed_plan_rejected(doc):
     with pytest.raises(ValueError):
         CertificationPlan.from_json(json.dumps(doc))
+
+
+def test_builtin_plans_keep_the_parameter_rules():
+    for profile in ("quick", "full"):
+        plan = default_plan(profile, seed=3)
+        assert CertificationPlan.from_json(plan.to_json()) == plan

@@ -6,21 +6,21 @@ import pytest
 from rainbowdom.graph import Graph, complement
 from rainbowdom.semantics import is_rainbow, rainbow_cost
 from rainbowdom.oracle import exact_rainbow
+from rainbowdom.cograph import (
+    Cotree,
+    CotreeParseError,
+    cotree_to_graph,
+    parse_cotree,
+    rainbow_cograph,
+)
 from rainbowdom.p4sparse import (
     P4SparseRefusal,
-    P4SparseTree,
-    P4TreeParseError,
-    SpiderPartition,
     check_spider,
     count_induced_p4s,
     is_p4_sparse_bruteforce,
-    p4sparse_to_graph,
-    parse_p4sparse_tree,
-    rainbow_p4sparse,
     rainbow_thick_spider,
     rainbow_thin_spider,
     recognize_p4sparse,
-    render_p4sparse_tree,
 )
 from rainbowdom.generators import generate
 from rainbowdom.harness import enumerate_p4sparse_trees
@@ -28,14 +28,14 @@ from rainbowdom.harness import enumerate_p4sparse_trees
 
 def test_parse_and_render():
     text = "(U (S thin (0 1) (2 3)) (J 4 5))"
-    t = parse_p4sparse_tree(text)
-    assert render_p4sparse_tree(t) == text
-    assert t.n_vertices() == 6
+    t = parse_cotree(text)
+    assert t.to_text() == text
+    assert t.n_leaves == 6
 
 
 def test_parse_spider_with_head():
-    t = parse_p4sparse_tree("(S thick (0 1 2) (3 4 5) (U 6 7))")
-    g = p4sparse_to_graph(t)
+    t = parse_cotree("(S thick (0 1 2) (3 4 5) (U 6 7))")
+    g = cotree_to_graph(t)
     assert g.n == 8
     sp = t.spider[t.root]
     assert sp.head == (6, 7)
@@ -46,8 +46,8 @@ def test_parse_spider_with_head():
     "text", ["(S thin (0) (1))", "(S wide (0 1) (2 3))", "(U 0)", "(S thin (0 1) (2 3) 3)"]
 )
 def test_parse_errors(text):
-    with pytest.raises((P4TreeParseError, ValueError)):
-        parse_p4sparse_tree(text)
+    with pytest.raises(CotreeParseError):
+        parse_cotree(text)
 
 
 def test_generated_spiders_pass_predicate():
@@ -76,7 +76,7 @@ def test_thick_is_complement_of_thin():
 
 def test_recognize_cograph_has_no_spiders(p3):
     t = recognize_p4sparse(p3)
-    assert isinstance(t, P4SparseTree)
+    assert isinstance(t, Cotree)
     assert "S" not in t.kind
 
 
@@ -91,7 +91,7 @@ def test_recognize_spider_with_head():
     t = recognize_p4sparse(g)
     assert t.kind[t.root] == "S"
     assert len(t.spider[t.root].head) == 1
-    assert p4sparse_to_graph(t) == g
+    assert cotree_to_graph(t) == g
 
 
 def test_c5_refusal():
@@ -109,9 +109,9 @@ def test_recognizer_matches_bruteforce_on_small_graphs():
             g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             expected = is_p4_sparse_bruteforce(g)
             got = recognize_p4sparse(g)
-            assert isinstance(got, P4SparseTree) == expected
+            assert isinstance(got, Cotree) == expected
             if expected:
-                assert p4sparse_to_graph(got) == g
+                assert cotree_to_graph(got) == g
             checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024
 
@@ -129,7 +129,7 @@ def test_recognizer_matches_bruteforce_seeded_6_7():
                 if rng.random() < 0.5
             ],
         )
-        assert isinstance(recognize_p4sparse(g), P4SparseTree) == \
+        assert isinstance(recognize_p4sparse(g), Cotree) == \
             is_p4_sparse_bruteforce(g)
 
 
@@ -161,18 +161,17 @@ def test_formulas_against_oracle_small_grid():
 def test_tree_dp_against_oracle_small():
     for tree, g in enumerate_p4sparse_trees(6):
         for k in (1, 2):
-            v, w = rainbow_p4sparse(tree, k)
-            assert v == exact_rainbow(g, k, cap=24).value, \
-                render_p4sparse_tree(tree)
+            v, w = rainbow_cograph(tree, k)
+            assert v == exact_rainbow(g, k, cap=24).value, tree.to_text()
             ok, _ = is_rainbow(g, w)
             assert ok and rainbow_cost(w) == v
 
 
 def test_spider_witness_shape():
-    t = parse_p4sparse_tree("(S thin (0 1 2) (3 4 5))")
-    v, w = rainbow_p4sparse(t, 2)
+    t = parse_cotree("(S thin (0 1 2) (3 4 5))")
+    v, w = rainbow_cograph(t, 2)
     assert v == 4
-    g = p4sparse_to_graph(t)
+    g = cotree_to_graph(t)
     ok, _ = is_rainbow(g, w)
     assert ok
     # one body vertex carries both colors, the other feet carry singletons
@@ -181,9 +180,9 @@ def test_spider_witness_shape():
 
 
 def test_union_of_two_thin_spiders_additive():
-    t = parse_p4sparse_tree(
+    t = parse_cotree(
         "(U (S thin (0 1) (2 3)) (S thin (4 5) (6 7)))"
     )
-    g = p4sparse_to_graph(t)
-    v, w = rainbow_p4sparse(t, 1)
+    g = cotree_to_graph(t)
+    v, w = rainbow_cograph(t, 1)
     assert v == 4 == exact_rainbow(g, 1, cap=24).value

@@ -12,17 +12,12 @@ from rainbowdom.cograph import (
     CographRefusal,
     Cotree,
     cotree_to_graph,
+    parse_cotree,
     random_cotree,
     recognize_cograph,
 )
 from rainbowdom.graph import Graph, complement
-from rainbowdom.p4sparse import (
-    P4SparseRefusal,
-    P4SparseTree,
-    p4sparse_to_graph,
-    parse_p4sparse_tree,
-    recognize_p4sparse,
-)
+from rainbowdom.p4sparse import P4SparseRefusal, recognize_p4sparse
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     TPRefusal,
@@ -83,8 +78,8 @@ def test_random_cotree_recognized_back(n, seed, data):
     t = recognize_cograph(g)
     assert isinstance(t, Cotree) and cotree_to_graph(t) == g
     tree = recognize_p4sparse(g)
-    assert isinstance(tree, P4SparseTree) and "S" not in tree.kind
-    assert p4sparse_to_graph(tree) == g
+    assert isinstance(tree, Cotree) and "S" not in tree.kind
+    assert cotree_to_graph(tree) == g
 
 
 @st.composite
@@ -117,10 +112,10 @@ def p4sparse_texts(draw, max_n=14):
 @SETTINGS
 @given(p4sparse_texts(), st.data())
 def test_spider_tree_recognized_back(text, data):
-    base = p4sparse_to_graph(parse_p4sparse_tree(text))
+    base = cotree_to_graph(parse_cotree(text))
     g = relabel(base, data.draw(st.permutations(range(base.n))))
     tree = recognize_p4sparse(g)
-    assert isinstance(tree, P4SparseTree) and p4sparse_to_graph(tree) == g
+    assert isinstance(tree, Cotree) and cotree_to_graph(tree) == g
 
 
 @st.composite
@@ -160,7 +155,7 @@ def test_refusals_are_genuine(g):
         assert len(set(five)) == 5
         assert sum(is_induced_p4(g, q) for q in combinations(five, 4)) >= 2
     else:
-        assert p4sparse_to_graph(tree) == g
+        assert cotree_to_graph(tree) == g
 
     model = build_tree_model(g)
     if isinstance(model, TPRefusal):
