@@ -178,6 +178,13 @@ def _recognize_complete_bipartite(g: Graph, L: KAssignment):
     )
 
 
+def _oracle_cap() -> int:
+    try:
+        return _oracle.vertex_cap()
+    except ValueError as exc:
+        _fail(str(exc))
+
+
 def _oracle_solver(problem: str) -> Callable:
     def solve(g, k, j, L):
         if problem == "rainbow":
@@ -389,7 +396,7 @@ def cmd_solve(args) -> int:
         if chosen == "p4sparse" and "S" not in model.kind:
             chosen = "cograph"
         if chosen == "oracle":
-            cap = _oracle.vertex_cap()
+            cap = _oracle_cap()
             size = g.n * k if problem == "rainbow" else g.n
             if size > cap:
                 _fail(
@@ -400,6 +407,7 @@ def cmd_solve(args) -> int:
                 )
         print(f"auto: solving as {chosen}", file=sys.stderr)
     if chosen == "oracle":
+        _oracle_cap()
         model = g
 
     try:
@@ -430,6 +438,7 @@ def _parse_graph_file(path: str) -> Graph:
 def cmd_verify(args) -> int:
     if args.workers < 1:
         _fail(f"--workers must be at least 1, got {args.workers}")
+    _oracle_cap()
     if args.plan:
         try:
             plan = CertificationPlan.from_json(_read(args.plan))

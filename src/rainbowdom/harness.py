@@ -1136,12 +1136,50 @@ def _run_checks(seed: int, checks) -> list[CheckResult]:
     ]
 
 
+# Fixed cost weight of each check in milliseconds, for dealing checks to
+# workers: the median of five `verify --timing` runs of the benchmark plan
+# (perfbench/certify_plan.json, seed 101, one worker; perf_gates from one
+# run of its full-plan parameters) on a 2-core host, Python 3.11.  Only
+# their ratios matter, and they only balance the deal: a report does not
+# depend on them.
+CHECK_COST: dict[str, int] = {
+    "reference_constants": 57,
+    "oracle_cross": 368,
+    "global_invariants": 79,
+    "cograph_cert": 633,
+    "p4sparse_cert": 100,
+    "tp_cert": 584,
+    "tp_rainbow_equality": 125,
+    "interval_cert": 325,
+    "permutation_cert": 754,
+    "permutation_weak_gap": 179,
+    "bipartite_cert": 230,
+    "gadget_cert": 54,
+    "perf_gates": 3632,
+}
+
+
+def _deal(checks, w: int) -> list[list[int]]:
+    """Indices of the checks each of ``w`` workers runs: each check, in plan
+    order, goes to the worker with the least ``CHECK_COST`` dealt so far
+    (ties to the lowest worker)."""
+    loads = [0] * w
+    shares: list[list[int]] = [[] for _ in range(w)]
+    for i, (name, _params) in enumerate(checks):
+        j = loads.index(min(loads))
+        shares[j].append(i)
+        loads[j] += CHECK_COST[name]
+    return shares
+
+
 def run_plan(plan: CertificationPlan, workers: int = 1) -> CertificationReport:
     """Execute all checks in ``w = min(workers, len(plan.checks))``
-    processes, the caller being worker 0: check ``i`` runs in worker
-    ``i mod w``.  Each check gets its own seed-derived generator, so the
-    report is identical for every worker count.  The pool uses the
-    interpreter's start method, which the application may choose."""
+    processes, the caller being worker 0.  Each check, in plan order, goes
+    to the worker with the least ``CHECK_COST`` dealt so far (``_deal``),
+    so the deal depends only on the plan and ``w``; each check gets its own
+    seed-derived generator, so the report is identical for every worker
+    count.  The pool uses the interpreter's start method, which the
+    application may choose."""
     for name, _params in plan.checks:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
@@ -1152,13 +1190,16 @@ def run_plan(plan: CertificationPlan, workers: int = 1) -> CertificationReport:
         # imported here so that solve never pays for it
         from concurrent.futures import ProcessPoolExecutor
 
+        shares = _deal(plan.checks, w)
+        checks = [[plan.checks[i] for i in share] for share in shares]
         results = [None] * len(plan.checks)
         with ProcessPoolExecutor(max_workers=w - 1) as pool:
             futures = [
-                pool.submit(_run_checks, plan.seed, plan.checks[j::w])
-                for j in range(1, w)
+                pool.submit(_run_checks, plan.seed, share) for share in checks[1:]
             ]
-            results[0::w] = _run_checks(plan.seed, plan.checks[0::w])
-            for j, future in enumerate(futures, 1):
-                results[j::w] = future.result()
+            done = [_run_checks(plan.seed, checks[0])]
+            done += [future.result() for future in futures]
+        for share, share_results in zip(shares, done):
+            for i, result in zip(share, share_results):
+                results[i] = result
     return CertificationReport(plan.seed, tuple(results))

@@ -3,8 +3,26 @@
 ``exact_domination`` is a bitmask branch-and-bound for minimum domination;
 ``exact_rainbow`` reduces rainbow domination to domination of the product
 with a complete graph and decodes the witness back to color labels.
-``exact_weight_variant`` is a branch-and-bound over weight vectors shared
-by the weak {k}, {k}, (j,k) and weak {k}-L variants.
+``exact_rainbow_direct`` enumerates label vectors as an independent check
+of that reduction.  ``exact_weight_variant`` is a branch-and-bound over
+weight vectors shared by the weak {k}, {k}, (j,k) and weak {k}-L variants.
+
+Bounds of each search (every one only cuts subtrees without a leaf better
+than the incumbent, so the visit order and the returned witness do not
+depend on them; only ``nodes_explored`` does):
+
+* domination: the greedy cover is the first upper bound; iterative
+  deepening starts at the counting bound ceil(n / largest closed
+  neighbourhood); a depth fails once the largest residual coverage times
+  the sets still allowed misses the undominated count.
+* direct rainbow: the best cost so far bounds the label cost; a vertex is
+  checked as soon as its whole closed neighbourhood is labelled.
+* weight vectors: a neighbourhood that cannot reach its demand even at full
+  weight fails at once; a branch stops when the weight still to place
+  reaches the best total, by the floors still unassigned, by the largest
+  unmet firm demand (an assigned zero vertex, or any vertex in the
+  unconditional variants), or by the vertices still short of their need
+  over the largest closed neighbourhood still unassigned.
 
 Every call is pure and independent; results carry a validating witness.
 """
@@ -13,6 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import lt, sub
 from typing import Union
 
 from .graph import Graph, cartesian_product_complete
@@ -60,13 +79,24 @@ class OracleResult:
 
 
 def vertex_cap(cap: int | None = None) -> int:
-    """Resolve the oracle vertex cap: explicit arg, else env, else default."""
+    """Resolve the oracle vertex cap: explicit arg, else env, else default.
+
+    Raises ``ValueError`` when the environment value is not a positive
+    integer."""
     if cap is not None:
         return cap
     env = os.environ.get("RAINBOWDOM_ORACLE_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"RAINBOWDOM_ORACLE_CAP must be a positive integer, got {env!r}"
+        )
+    return cap
 
 
 def _greedy_dominating(nb: list[int], full: int) -> list[int]:
@@ -76,7 +106,7 @@ def _greedy_dominating(nb: list[int], full: int) -> list[int]:
         best_v = -1
         best_gain = -1
         for v, mask in enumerate(nb):
-            gain = bin(mask & ~dominated).count("1")
+            gain = (mask & ~dominated).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_v = v
@@ -90,10 +120,10 @@ def exact_domination(
 ) -> OracleResult:
     """Minimum dominating set by cardinality-increasing depth-first search.
 
-    A greedy solution bounds the search from above; at each node the branch
-    vertex is an undominated vertex with the fewest covering candidates, and
-    candidates whose residual coverage is contained in another candidate's
-    are pruned.
+    A greedy solution bounds the search from above and the counting bound
+    from below; at each node the branch vertex is an undominated vertex
+    with the fewest covering candidates, and candidates whose residual
+    coverage is contained in another candidate's are pruned.
     """
     cap = vertex_cap(cap)
     if g.n > cap:
@@ -127,12 +157,8 @@ def exact_domination(
         if left == 0:
             return False
         rem = full & ~dominated
-        max_cov = 0
-        for mask in nb:
-            c = bin(mask & rem).count("1")
-            if c > max_cov:
-                max_cov = c
-        if max_cov * left < bin(rem).count("1"):
+        max_cov = max([(mask & rem).bit_count() for mask in nb])
+        if max_cov * left < rem.bit_count():
             return False
         # branch on the undominated vertex with fewest covering candidates
         pick = -1
@@ -141,7 +167,7 @@ def exact_domination(
         while r:
             v = (r & -r).bit_length() - 1
             r &= r - 1
-            c = bin(nb[v]).count("1")
+            c = nb[v].bit_count()
             if c < pick_count:
                 pick_count = c
                 pick = v
@@ -163,7 +189,7 @@ def exact_domination(
                     break
             if not dominated_choice:
                 keep.append((v, cov))
-        keep.sort(key=lambda t: (-bin(t[1]).count("1"), t[0]))
+        keep.sort(key=lambda t: (-t[1].bit_count(), t[0]))
         for v, cov in keep:
             chosen.append(v)
             if depth_limited(dominated | nb[v], chosen, left - 1):
@@ -172,11 +198,10 @@ def exact_domination(
             chosen.pop()
         return False
 
-    lb = 1
-    target = lb
+    # no depth below the counting bound passes the root's max_cov test
+    target = -(-n // max(mask.bit_count() for mask in nb))
     while target < ub:
         if depth_limited(0, [], target):
-            ub = min(k for k in best_sets)
             break
         target += 1
 
@@ -225,7 +250,9 @@ def exact_rainbow_direct(
     """Independent rainbow oracle: branch and bound over label vectors.
 
     Exponential in n and k; intended as a cross-check of the product route
-    on tiny instances.
+    on tiny instances.  Labels are assigned in vertex order, and a
+    labelling is dropped once a vertex whose closed neighbourhood is all
+    labelled has label 0 and misses a colour there.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -236,21 +263,17 @@ def exact_rainbow_direct(
         return OracleResult(0, RainbowFunction(k, ()), 0)
 
     all_colors = (1 << k) - 1
-    neighbor_lists = [sorted(g.neighbors(v)) for v in range(n)]
+    size = [mask.bit_count() for mask in range(1 << k)]
+    # vertex w is checked once v, the last of its closed neighbourhood in
+    # labelling order, has a label
+    completes: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for w in range(n):
+        nbrs = sorted(g.neighbors(w))
+        completes[max(nbrs + [w])].append((w, nbrs))
     best_cost = n + 1  # all-singletons is always valid
     best_labels = [1] * n
     labels = [0] * n
     nodes = 0
-
-    def feasible_complete() -> bool:
-        for v in range(n):
-            if labels[v] == 0:
-                seen = 0
-                for u in neighbor_lists[v]:
-                    seen |= labels[u]
-                if seen != all_colors:
-                    return False
-        return True
 
     def rec(v: int, cost: int) -> None:
         nonlocal best_cost, best_labels, nodes
@@ -258,13 +281,20 @@ def exact_rainbow_direct(
         if cost >= best_cost:
             return
         if v == n:
-            if feasible_complete():
-                best_cost = cost
-                best_labels = labels.copy()
+            best_cost = cost
+            best_labels = labels.copy()
             return
         for mask in range(1 << k):
             labels[v] = mask
-            rec(v + 1, cost + bin(mask).count("1"))
+            for w, nbrs in completes[v]:
+                if labels[w] == 0:
+                    seen = 0
+                    for u in nbrs:
+                        seen |= labels[u]
+                    if seen != all_colors:
+                        break
+            else:
+                rec(v + 1, cost + size[mask])
         labels[v] = 0
 
     rec(0, 0)
@@ -289,9 +319,10 @@ def exact_weight_variant(
     """Exact minimum for a weight-vector domination variant.
 
     Branch and bound over weight vectors, assigning vertices in decreasing
-    degree order, with neighborhood-potential propagation and a seeded
-    upper bound.  Raises ``InfeasibleInstance`` when no function exists
-    (only possible for the (j,k) variant).
+    degree order, with neighborhood-potential propagation, a seeded upper
+    bound and the lower bounds of the module docstring.  Raises
+    ``InfeasibleInstance`` when no function exists (only possible for the
+    (j,k) variant).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -303,8 +334,8 @@ def exact_weight_variant(
         return OracleResult(0, WeightFunction(k, ()), 0)
 
     lo = [0] * n
-    hi = [k] * n
-    # threshold for zero vertices (conditional variants); None = unconditional
+    top = k  # largest weight of a vertex
+    # demand on N[v]: of zero vertices only in the conditional variants
     conditional = variant in ("weak_k", "weak_kL")
     thr = [k] * n
     if variant == "weak_kL":
@@ -318,7 +349,7 @@ def exact_weight_variant(
     if variant == "jk_dom":
         if j is None or not (1 <= j <= k):
             raise ValueError("jk_dom requires 1 <= j <= k")
-        hi = [j] * n
+        top = j
         for v in range(n):
             if j * (g.degree(v) + 1) < k:
                 raise InfeasibleInstance(
@@ -364,10 +395,16 @@ def exact_weight_variant(
     assert best_cost is not None and best_weights is not None
 
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # closed neighborhoods in assignment order for incremental updates
+    # the largest closed neighbourhood among order[i:] is order[i]'s
+    width = [len(closed[v]) for v in order]
     csum = [0] * n  # weight already assigned in N[v]
-    pot = [sum(hi[u] for u in closed[v]) for v in range(n)]
+    pot = [top * len(c) for c in closed]  # weight N[v] may still get
+    # N[v] must reach need[v] unless v gets positive weight (then need[v]
+    # drops to 0), and must reach firm[v] whatever the rest of the labels:
+    # k for every vertex in the unconditional variants, thr[v] once v is
+    # an assigned zero in the conditional ones
+    need = list(thr)
+    firm = [0] * n if conditional else list(thr)
     weights = [-1] * n
     rem_lo = sum(lo)
     nodes = 0
@@ -383,31 +420,41 @@ def exact_weight_variant(
             best_cost = cost
             best_weights = weights.copy()
             return
+        # a better leaf places at most `slack` more weight: enough for the
+        # largest firm deficit, and a positive vertex of order[i:] in N[v]
+        # of every vertex short of its need
+        slack = best_cost - cost - 1
+        if max(map(sub, firm, csum)) > slack:
+            return
+        if sum(map(lt, csum, need)) > slack * width[i]:
+            return
         u = order[i]
-        rem_lo -= lo[u]
-        for x in range(lo[u], hi[u] + 1):
+        cu = closed[u]
+        lu = lo[u]
+        rem_lo -= lu
+        for v in cu:
+            csum[v] += lu
+            pot[v] -= top
+        for x in range(lu, top + 1):
+            if x > lu:
+                for v in cu:
+                    csum[v] += 1
             weights[u] = x
-            ok = True
-            for v in closed[u]:
-                csum[v] += x
-                pot[v] -= hi[u]
-            for v in closed[u]:
-                need = None
-                if conditional:
-                    if weights[v] == 0:
-                        need = thr[v]
-                else:
-                    need = k
-                if need is not None and csum[v] + pot[v] < need:
-                    ok = False
+            if conditional:
+                need[u] = firm[u] = 0 if x else thr[u]
+            for v in cu:
+                if csum[v] + pot[v] < firm[v]:
                     break
-            if ok:
+            else:
                 rec(i + 1, cost + x)
-            for v in closed[u]:
-                csum[v] -= x
-                pot[v] += hi[u]
+        for v in cu:
+            csum[v] -= top
+            pot[v] += top
+        if conditional:
+            need[u] = thr[u]
+            firm[u] = 0
         weights[u] = -1
-        rem_lo += lo[u]
+        rem_lo += lu
 
     rec(0, 0)
     return OracleResult(best_cost, WeightFunction(k, tuple(best_weights)), nodes)

@@ -281,6 +281,20 @@ def test_oracle_cap_env_override(tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("cap", ["abc", "-5"])
+def test_bad_oracle_cap_env_exit_2(tmp_path, monkeypatch, cap):
+    (tmp_path / "p3.graph").write_text("3 2\n0 1\n1 2\n")
+    monkeypatch.setenv("RAINBOWDOM_ORACLE_CAP", cap)
+    code, out, err = run_cli(
+        "solve", "--problem", "rainbow", "--k", "2", "--class", "oracle",
+        "--graph", str(tmp_path / "p3.graph"),
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: RAINBOWDOM_ORACLE_CAP must be a positive integer, got {cap!r}"
+    ]
+
+
 @pytest.mark.parametrize("check, params", [
     ("cograph_cert", {"ks": []}),
     ("p4sparse_cert", {"feet": [-1]}),

@@ -9,6 +9,8 @@ import pytest
 import rainbowdom
 from rainbowdom.graph import Graph
 from rainbowdom.harness import (
+    CHECK_COST,
+    CHECKS,
     CertificationPlan,
     CertificationReport,
     check_cograph_cert,
@@ -144,6 +146,22 @@ def test_pool_gets_one_process_per_share_beyond_the_caller(monkeypatch):
     assert run_plan(plan, workers=8).to_json() == run_plan(plan).to_json()
     assert pools == [1]
     assert shares == [["oracle_cross"]]
+
+    # the heavy cograph_cert fills the caller, so both light checks go to
+    # the other worker (check i mod 2 would give the caller oracle_cross)
+    rc, oc, cc = SMALL_PLAN.checks
+    assert CHECK_COST["cograph_cert"] > CHECK_COST["reference_constants"]
+    pools.clear()
+    shares.clear()
+    plan = CertificationPlan(3, (cc, rc, oc))
+    assert run_plan(plan, workers=2).to_json() == run_plan(plan).to_json()
+    assert pools == [1]
+    assert shares == [["reference_constants", "oracle_cross"]]
+
+
+def test_every_check_has_a_cost_weight():
+    assert set(CHECK_COST) == set(CHECKS)
+    assert all(weight > 0 for weight in CHECK_COST.values())
 
 
 SPAWN_SCRIPT = """\

@@ -2,6 +2,7 @@
 exhaustive enumeration (subsets for domination, full weight/label vectors
 for the rest) on instances small enough to enumerate."""
 
+import functools
 import itertools
 import random
 
@@ -44,11 +45,15 @@ def domination_by_subsets(g: Graph) -> int:
     raise AssertionError
 
 
+@functools.lru_cache(maxsize=None)
+def vectors_by_cost(n, hi):
+    return sorted(itertools.product(range(hi + 1), repeat=n), key=sum)
+
+
 def weight_minimum_by_vectors(g, variant, k, j=None, L=None):
-    """Reference oracle: scan every weight vector."""
-    best = None
+    """Reference oracle: scan every weight vector, cheapest first."""
     hi = j if variant == "jk_dom" else k
-    for ws in itertools.product(range(hi + 1), repeat=g.n):
+    for ws in vectors_by_cost(g.n, hi):
         w = WeightFunction(k, ws)
         if variant == "weak_k":
             ok, _ = is_weak_k(g, w)
@@ -58,9 +63,9 @@ def weight_minimum_by_vectors(g, variant, k, j=None, L=None):
             ok, _ = is_jk_dom(g, w, j)
         else:
             ok, _ = is_weak_kL(g, w, L)
-        if ok and (best is None or sum(ws) < best):
-            best = sum(ws)
-    return best
+        if ok:
+            return sum(ws)
+    return None
 
 
 def random_graph(n, p, seed):
@@ -201,6 +206,58 @@ def test_weight_variants_match_vector_scan():
         assert res.value == weight_minimum_by_vectors(g, "weak_kL", k, L=L)
         ok, _ = is_weak_kL(g, res.witness, L)
         assert ok
+
+
+def small_graphs():
+    """Every labelled graph on at most 4 vertices, then 200 seeded random
+    graphs on 5 or 6 vertices."""
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+    for seed in range(200):
+        rng = random.Random(seed)
+        yield random_graph(rng.randint(5, 6), rng.choice((0.3, 0.5, 0.7)), seed)
+
+
+def weight_witness_ok(g, variant, w, j, L):
+    if variant == "weak_k":
+        return is_weak_k(g, w)[0]
+    if variant == "k_dom":
+        return is_k_dom(g, w)[0]
+    if variant == "jk_dom":
+        return is_jk_dom(g, w, j)[0]
+    return is_weak_kL(g, w, L)[0]
+
+
+def test_pruned_searches_match_exhaustive_scans():
+    """The lower bounds of the weight search and the early neighbourhood
+    checks of the direct label search cut no optimum."""
+    for idx, g in enumerate(small_graphs()):
+        rng = random.Random(idx)
+        for k in (1, 2, 3):
+            cases = [("weak_k", None, None), ("k_dom", None, None)]
+            cases += [("jk_dom", j, None) for j in range(1, k + 1)]
+            for _ in range(3):
+                L = KAssignment(k, tuple(
+                    (rng.randint(0, k), rng.randint(0, k)) for _ in range(g.n)
+                ))
+                cases.append(("weak_kL", None, L))
+            for variant, j, L in cases:
+                want = weight_minimum_by_vectors(g, variant, k, j=j, L=L)
+                try:
+                    res = exact_weight_variant(g, variant, k, j=j, assignment=L)
+                except InfeasibleInstance:
+                    assert want is None
+                    continue
+                assert res.value == want == weight_cost(res.witness)
+                assert weight_witness_ok(g, variant, res.witness, j, L)
+            direct = exact_rainbow_direct(g, k)
+            product = exact_rainbow(g, k)
+            assert direct.value == product.value
+            for res in (direct, product):
+                assert is_rainbow(g, res.witness)[0]
+                assert rainbow_cost(res.witness) == res.value
 
 
 def test_weak_below_rainbow():
