@@ -7,6 +7,9 @@ permutations) rather than filtering arbitrary graphs.  Interval graphs are
 enumerated by extension closure -- every such graph minus a vertex is again
 one -- with isomorphism-class deduplication and a consecutive-ones test
 over the maximal cliques.
+
+Every class solver is reached through the (class, problem) table of
+``rainbowdom.registry``, so the checks certify the entries ``solve`` runs.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Graph
-from .semantics import (
-    KAssignment,
-    is_jk_dom,
-    is_k_dom,
-    is_rainbow,
-    is_weak_k,
-    is_weak_kL,
-    rainbow_cost,
-    weight_cost,
-)
-from . import oracle as _oracle
+from .semantics import KAssignment, check_witness
 from .oracle import (
     InfeasibleInstance,
     exact_domination,
@@ -37,41 +30,15 @@ from .oracle import (
     exact_rainbow_direct,
     exact_weight_variant,
 )
-from .cograph import (
-    Cotree,
-    CotreeBuilder,
-    SpiderPartition,
-    cotree_to_graph,
-    kdom_cograph,
-    rainbow_cograph,
-    random_cotree,
-    weak_cograph,
-)
+from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph
 from .p4sparse import rainbow_thick_spider, rainbow_thin_spider
-from .trivially_perfect import (
-    RootedTreeModel,
-    gamma_rk_tp,
-    gamma_wkL,
-    gamma_wk_tp,
-    jk_domination_tp,
-    random_tree_model,
-    reduce_instance,
-)
-from .interval import (
-    IntervalModel,
-    build_arrangement,
-    interval_graph,
-    rainbow2_interval,
-    weak2_interval,
-)
-from .permutation import diagram_to_graph, rainbow2_permutation
-from .bipartite import (
-    BipartiteInstance,
-    complete_bipartite_graph,
-    weakL_complete_bipartite,
-)
+from .trivially_perfect import RootedTreeModel, reduce_instance
+from .interval import IntervalModel
+from .permutation import diagram_to_graph
+from .bipartite import BipartiteInstance, complete_bipartite_graph
 from .gadgets import split_partition, verify_gadget_identities
 from .generators import generate
+from .registry import ORACLE_VARIANT, REGISTRY
 
 __all__ = [
     "CertificationPlan",
@@ -552,26 +519,61 @@ def _result(name, t0, passed, detail, counterexample=None) -> CheckResult:
 # --- the checks ----------------------------------------------------------------
 
 
+def _oracle_value(problem: str, g: Graph, k: int, j=None, L=None) -> int | None:
+    """The oracle's value of ``problem`` on g, or None when no function
+    exists."""
+    try:
+        if problem == "rainbow":
+            return exact_rainbow(g, k, cap=g.n * k).value
+        return exact_weight_variant(g, ORACLE_VARIANT[problem], k, j=j, assignment=L).value
+    except InfeasibleInstance:
+        return None
+
+
+def _compare(cls: str, problem: str, g: Graph, model, k: int, j=None, L=None,
+             expect=None):
+    """Run the table's solver for (cls, problem) on ``model``, a model of g,
+    against the oracle's value on g, or against ``expect`` where the caller
+    already has that value.  Returns (value, witness, fault): value is None
+    when the solver finds no function, and fault is None when both values
+    agree and the witness, required unless the class lists the problem as
+    value-only, is valid and costs the value."""
+    entry = REGISTRY[cls]
+    try:
+        value, witness = entry.solvers[problem](model, k, j, L)
+    except InfeasibleInstance:
+        value, witness = None, None
+    if expect is None:
+        expect = _oracle_value(problem, g, k, j, L)
+    if value != expect:
+        return value, witness, f"solver={value} oracle={expect}"
+    if value is None or witness is None and problem in entry.value_only:
+        return value, witness, None
+    return value, witness, check_witness(problem, g, value, witness, j, L)
+
+
 def check_reference_constants(params: dict, rng) -> CheckResult:
     """Two externally known value pairs: the 6-cycle by oracle, the
-    12-vertex gap cograph by oracle and by the cograph DP."""
+    12-vertex gap cograph by oracle and by the cograph table entries on
+    its recognized and its generated cotree."""
     t0 = time.perf_counter()
-    from .cograph import recognize_cograph
-
     c6, _ = generate("cycle", 6)
     gap, gap_tree = generate("rainbow_gap")
     for g, k, weak_expect, rainbow_expect in ((c6, 2, 3, 4), (gap, 3, 4, 6)):
-        if exact_weight_variant(g, "weak_k", k).value != weak_expect:
+        if _oracle_value("weak", g, k) != weak_expect:
             return _result("reference_constants", t0, False, f"weak oracle k={k}")
-        if exact_rainbow(g, k, cap=max(48, g.n * k)).value != rainbow_expect:
+        if _oracle_value("rainbow", g, k) != rainbow_expect:
             return _result("reference_constants", t0, False, f"rainbow oracle k={k}")
-    tree = recognize_cograph(gap)
-    if not isinstance(tree, Cotree):
+    tree = REGISTRY["cograph"].recognize(gap, None)
+    if isinstance(tree, str):
         return _result("reference_constants", t0, False, "gap graph not recognized")
-    if weak_cograph(tree, 3)[0] != 4 or weak_cograph(gap_tree, 3)[0] != 4:
-        return _result("reference_constants", t0, False, "weak DP on gap graph")
-    if rainbow_cograph(tree, 3)[0] != 6 or rainbow_cograph(gap_tree, 3)[0] != 6:
-        return _result("reference_constants", t0, False, "rainbow DP on gap graph")
+    for problem, expect in (("weak", 4), ("rainbow", 6)):
+        for model in (tree, gap_tree):
+            _v, _w, fault = _compare("cograph", problem, gap, model, 3, expect=expect)
+            if fault:
+                return _result(
+                    "reference_constants", t0, False, f"{problem} DP on gap graph", fault
+                )
     return _result("reference_constants", t0, True, "both value pairs reproduced")
 
 
@@ -640,47 +642,24 @@ def check_global_invariants(params: dict, rng) -> CheckResult:
     )
 
 
-def check_cograph_cert(
-    params: dict, rng,
-    rainbow_solver: Callable = rainbow_cograph,
-    weak_solver: Callable = weak_cograph,
-) -> CheckResult:
-    """Every cograph from exhaustive cotree shapes against the oracle."""
+def check_cograph_cert(params: dict, rng) -> CheckResult:
+    """Every cograph from exhaustive cotree shapes: each problem of the
+    cograph table entry against the oracle, and weak never above rainbow."""
     t0 = time.perf_counter()
     max_leaves = params.get("max_leaves", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
-    cap = max(48, max_leaves * max(ks))
     count = 0
     for tree, g in enumerate_cographs(max_leaves):
         for k in ks:
-            rv, rw = rainbow_solver(tree, k)
-            orc = exact_rainbow(g, k, cap=cap)
-            ok_w, _ = is_rainbow(g, rw)
-            if rv != orc.value or not ok_w or rainbow_cost(rw) != rv:
-                return _result(
-                    "cograph_cert", t0, False,
-                    f"rainbow mismatch k={k}",
-                    f"cotree={tree.to_text()} solver={rv} oracle={orc.value}",
-                )
-            wv, ww = weak_solver(tree, k)
-            worc = exact_weight_variant(g, "weak_k", k)
-            ok_w, _ = is_weak_k(g, ww)
-            if wv != worc.value or not ok_w or weight_cost(ww) != wv:
-                return _result(
-                    "cograph_cert", t0, False,
-                    f"weak mismatch k={k}",
-                    f"cotree={tree.to_text()} solver={wv} oracle={worc.value}",
-                )
-            kv, kw = kdom_cograph(tree, k)
-            korc = exact_weight_variant(g, "k_dom", k)
-            ok_w, _ = is_k_dom(g, kw)
-            if kv != korc.value or not ok_w:
-                return _result(
-                    "cograph_cert", t0, False,
-                    f"kdom mismatch k={k}",
-                    f"cotree={tree.to_text()} solver={kv} oracle={korc.value}",
-                )
-            if wv > rv:
+            values = {}
+            for problem in REGISTRY["cograph"].solvers:
+                values[problem], _w, fault = _compare("cograph", problem, g, tree, k)
+                if fault:
+                    return _result(
+                        "cograph_cert", t0, False, f"{problem} mismatch k={k}",
+                        f"cotree={tree.to_text()} {fault}",
+                    )
+            if values["weak"] > values["rainbow"]:
                 return _result(
                     "cograph_cert", t0, False, "weak exceeds rainbow",
                     tree.to_text(),
@@ -698,38 +677,28 @@ def check_p4sparse_cert(params: dict, rng) -> CheckResult:
     heads = tuple(params.get("heads", (0, 1, 2, 3)))
     for s in feet:
         for h in heads:
-            gthin, _ = generate("thin_spider", s, h)
-            for k in ks:
-                got = rainbow_thin_spider(s, gthin.n, k)
-                orc = exact_rainbow(gthin, k, cap=max(48, gthin.n * k)).value
-                if got != orc:
-                    return _result(
-                        "p4sparse_cert", t0, False,
-                        f"thin formula s={s} head={h} k={k}",
-                        f"formula={got} oracle={orc}",
-                    )
-            if s >= 3:
-                gthick, _ = generate("thick_spider", s, h)
+            for kind, formula in (("thin", rainbow_thin_spider),
+                                  ("thick", rainbow_thick_spider)):
+                if kind == "thick" and s < 3:
+                    continue  # a thick spider has at least three feet
+                spider, _ = generate(f"{kind}_spider", s, h)
                 for k in ks:
-                    got = rainbow_thick_spider(s, gthick.n, k)
-                    orc = exact_rainbow(gthick, k, cap=max(48, gthick.n * k)).value
+                    got = formula(s, spider.n, k)
+                    orc = _oracle_value("rainbow", spider, k)
                     if got != orc:
                         return _result(
                             "p4sparse_cert", t0, False,
-                            f"thick formula s={s} head={h} k={k}",
+                            f"{kind} formula s={s} head={h} k={k}",
                             f"formula={got} oracle={orc}",
                         )
     count = 0
     for tree, g in enumerate_p4sparse_trees(max_n):
         for k in ks:
-            v, w = rainbow_cograph(tree, k)
-            orc = exact_rainbow(g, k, cap=max(48, g.n * max(ks)))
-            ok_w, _ = is_rainbow(g, w)
-            if v != orc.value or not ok_w or rainbow_cost(w) != v:
+            _v, _w, fault = _compare("p4sparse", "rainbow", g, tree, k)
+            if fault:
                 return _result(
-                    "p4sparse_cert", t0, False,
-                    f"tree mismatch k={k}",
-                    f"tree={tree.to_text()} solver={v} oracle={orc.value}",
+                    "p4sparse_cert", t0, False, f"tree mismatch k={k}",
+                    f"tree={tree.to_text()} {fault}",
                 )
             count += 1
     return _result("p4sparse_cert", t0, True, f"grid + {count} (tree, k) pairs")
@@ -743,10 +712,9 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
     ks = tuple(params.get("ks", (1, 2, 3)))
     per_graph = params.get("assignments", 100)
     jk_max = params.get("jk_max", 3)
-    models = enumerate_rooted_forests(max_n)
+    models = [(m, m.derived_graph()) for m in enumerate_rooted_forests(max_n)]
     count = 0
-    for model in models:
-        g = model.derived_graph()
+    for model, g in models:
         n = model.n
         for k in ks:
             for _ in range(per_graph):
@@ -756,14 +724,11 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
                         (rng.randint(0, k), rng.randint(0, k)) for _ in range(n)
                     ),
                 )
-                val, wit = gamma_wkL(model, L)
-                orc = exact_weight_variant(g, "weak_kL", k, assignment=L)
-                ok_w, _ = is_weak_kL(g, wit, L)
-                if val != orc.value or not ok_w or weight_cost(wit) != val:
+                val, wit, fault = _compare("trivially-perfect", "weakL", g, model, k, L=L)
+                if fault:
                     return _result(
                         "tp_cert", t0, False, f"weak-L mismatch k={k}",
-                        f"parents={model.parents} pairs={L.pairs} "
-                        f"solver={val} oracle={orc.value}",
+                        f"parents={model.parents} pairs={L.pairs} {fault}",
                     )
                 for x in range(n):
                     if x not in model.roots and L.pairs[x][0] > 0:
@@ -773,43 +738,25 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
                                 f"parents={model.parents} pairs={L.pairs} x={x}",
                             )
                 red = reduce_instance(model, L)
-                red_orc = exact_weight_variant(
-                    red.model.derived_graph(), "weak_kL", k,
-                    assignment=red.labels,
+                red_value = _oracle_value(
+                    "weakL", red.model.derived_graph(), k, L=red.labels
                 )
-                if red_orc.value + red.offset != orc.value:
+                if red_value + red.offset != val:
                     return _result(
                         "tp_cert", t0, False, "reduction identity fails",
                         f"parents={model.parents} pairs={L.pairs}",
                     )
                 count += 1
     jk_count = 0
-    for model in models:
-        g = model.derived_graph()
+    for model, g in models:
         for k in range(1, jk_max + 1):
             for j in range(1, k + 1):
-                try:
-                    jv, jw = jk_domination_tp(model, j, k)
-                    feasible = True
-                except InfeasibleInstance:
-                    feasible = False
-                try:
-                    jo = exact_weight_variant(g, "jk_dom", k, j=j)
-                    ofeas = True
-                except InfeasibleInstance:
-                    ofeas = False
-                if feasible != ofeas:
+                _v, _w, fault = _compare("trivially-perfect", "jkdom", g, model, k, j=j)
+                if fault:
                     return _result(
-                        "tp_cert", t0, False, "feasibility disagreement",
-                        f"parents={model.parents} j={j} k={k}",
+                        "tp_cert", t0, False, f"(j,k) mismatch j={j} k={k}",
+                        f"parents={model.parents} {fault}",
                     )
-                if feasible:
-                    ok_w, _ = is_jk_dom(g, jw, j)
-                    if jv != jo.value or not ok_w:
-                        return _result(
-                            "tp_cert", t0, False, f"(j,k) mismatch j={j} k={k}",
-                            f"parents={model.parents} solver={jv} oracle={jo.value}",
-                        )
                 jk_count += 1
     return _result(
         "tp_cert", t0, True,
@@ -818,7 +765,9 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
 
 
 def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
-    """The rainbow number equals the weak number on every forest model."""
+    """The rainbow number equals the weak number on every forest model: the
+    table's value-only rainbow entry, which returns the weak number,
+    against the rainbow oracle."""
     t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
@@ -826,12 +775,11 @@ def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
     for model in enumerate_rooted_forests(max_n):
         g = model.derived_graph()
         for k in ks:
-            rv = gamma_rk_tp(model, k)
-            orc = exact_rainbow(g, k, cap=max(48, g.n * max(ks))).value
-            if rv != orc:
+            _v, _w, fault = _compare("trivially-perfect", "rainbow", g, model, k)
+            if fault:
                 return _result(
                     "tp_rainbow_equality", t0, False, f"mismatch k={k}",
-                    f"parents={model.parents} solver={rv} oracle={orc}",
+                    f"parents={model.parents} {fault}",
                 )
             count += 1
     return _result("tp_rainbow_equality", t0, True, f"{count} instances")
@@ -844,39 +792,30 @@ def check_interval_cert(params: dict, rng) -> CheckResult:
     max_n = params.get("max_n", 8)
     count = 0
     for g, model in enumerate_interval_models(max_n):
-        arr = build_arrangement(model)
-        v, w = weak2_interval(arr)
-        orc = exact_weight_variant(g, "weak_k", 2)
-        ok_w, _ = is_weak_k(g, w)
-        if v != orc.value or not ok_w or weight_cost(w) != v:
+        v, _w, fault = _compare("interval", "weak", g, model, 2)
+        if fault:
             return _result(
                 "interval_cert", t0, False, "weak mismatch",
-                f"model={model.intervals} solver={v} oracle={orc.value}",
+                f"model={model.intervals} {fault}",
             )
-        rv, rw = rainbow2_interval(arr)
-        rorc = exact_rainbow(g, 2, cap=max(48, 2 * g.n))
-        if rv != rorc.value or rv != v:
+        rv, _w, fault = _compare("interval", "rainbow", g, model, 2)
+        if fault:
+            return _result(
+                "interval_cert", t0, False, "rainbow mismatch",
+                f"model={model.intervals} {fault}",
+            )
+        if rv != v:
             return _result(
                 "interval_cert", t0, False, "rainbow/weak equality fails",
-                f"model={model.intervals} weak={v} rainbow={rv} oracle={rorc.value}",
-            )
-        if rw is None:
-            return _result(
-                "interval_cert", t0, False, "no rainbow witness",
-                f"model={model.intervals}",
-            )
-        ok_w, _ = is_rainbow(g, rw)
-        if not ok_w or rainbow_cost(rw) != rv:
-            return _result(
-                "interval_cert", t0, False, "rainbow witness invalid",
-                f"model={model.intervals}",
+                f"model={model.intervals} weak={v} rainbow={rv}",
             )
         count += 1
     return _result("interval_cert", t0, True, f"{count} interval classes")
 
 
 def check_permutation_cert(params: dict, rng) -> CheckResult:
-    """Scanline DP vs oracle on all permutations up to the stated size."""
+    """Scanline DP vs oracle on all permutations up to the stated size; the
+    oracle runs once per distinct graph."""
     t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     count = 0
@@ -884,17 +823,13 @@ def check_permutation_cert(params: dict, rng) -> CheckResult:
     for n in range(1, max_n + 1):
         for pi in itertools.permutations(range(n)):
             g = diagram_to_graph(pi)
-            v, w = rainbow2_permutation(pi)
             key = (n, tuple(sorted(g.edges)))
-            orc = cache.get(key)
-            if orc is None:
-                orc = exact_rainbow(g, 2, cap=max(48, 2 * n)).value
-                cache[key] = orc
-            ok_w, _ = is_rainbow(g, w)
-            if v != orc or not ok_w or rainbow_cost(w) != v:
+            if key not in cache:
+                cache[key] = _oracle_value("rainbow", g, 2)
+            _v, _w, fault = _compare("permutation", "rainbow", g, pi, 2, expect=cache[key])
+            if fault:
                 return _result(
-                    "permutation_cert", t0, False, f"mismatch n={n}",
-                    f"pi={pi} solver={v} oracle={orc}",
+                    "permutation_cert", t0, False, f"mismatch n={n}", f"pi={pi} {fault}",
                 )
             count += 1
     return _result("permutation_cert", t0, True, f"{count} permutations")
@@ -908,39 +843,33 @@ def check_bipartite_cert(params: dict, rng) -> CheckResult:
     max_k = params.get("max_k", 2)
     randoms = params.get("randoms", 1000)
     rand_k = params.get("rand_k", 3)
+    exhaustive = (
+        ("exhaustive", n1, n2, k, bs)
+        for n1 in range(1, max_side + 1)
+        for n2 in range(1, max_side + 1)
+        for k in range(1, max_k + 1)
+        for bs in itertools.product(range(k + 1), repeat=n1 + n2)
+    )
+    sampled = (
+        ("random", n1, n2, rand_k, tuple(rng.randint(0, rand_k) for _ in range(n1 + n2)))
+        for n1, n2 in (
+            (rng.randint(1, max_side), rng.randint(1, max_side)) for _ in range(randoms)
+        )
+    )
+    graphs: dict = {}
     count = 0
-    for n1 in range(1, max_side + 1):
-        for n2 in range(1, max_side + 1):
-            g = complete_bipartite_graph(n1, n2)
-            for k in range(1, max_k + 1):
-                for bs in itertools.product(range(k + 1), repeat=n1 + n2):
-                    inst = BipartiteInstance.from_labels(k, bs[:n1], bs[n1:])
-                    v, _xy, w = weakL_complete_bipartite(inst)
-                    L = KAssignment(k, tuple((0, b) for b in bs))
-                    orc = exact_weight_variant(g, "weak_kL", k, assignment=L)
-                    ok_w, _ = is_weak_kL(g, w, L)
-                    if v != orc.value or not ok_w or weight_cost(w) != v:
-                        return _result(
-                            "bipartite_cert", t0, False, "exhaustive mismatch",
-                            f"n1={n1} n2={n2} k={k} b={bs} "
-                            f"solver={v} oracle={orc.value}",
-                        )
-                    count += 1
-    for _ in range(randoms):
-        n1 = rng.randint(1, max_side)
-        n2 = rng.randint(1, max_side)
-        k = rand_k
-        bs = tuple(rng.randint(0, k) for _ in range(n1 + n2))
+    for how, n1, n2, k, bs in itertools.chain(exhaustive, sampled):
+        if (n1, n2) not in graphs:
+            graphs[n1, n2] = complete_bipartite_graph(n1, n2)
         inst = BipartiteInstance.from_labels(k, bs[:n1], bs[n1:])
-        v, _xy, w = weakL_complete_bipartite(inst)
-        g = complete_bipartite_graph(n1, n2)
         L = KAssignment(k, tuple((0, b) for b in bs))
-        orc = exact_weight_variant(g, "weak_kL", k, assignment=L)
-        ok_w, _ = is_weak_kL(g, w, L)
-        if v != orc.value or not ok_w:
+        _v, _w, fault = _compare(
+            "complete-bipartite", "weakL", graphs[n1, n2], inst, k, L=L
+        )
+        if fault:
             return _result(
-                "bipartite_cert", t0, False, "random mismatch",
-                f"n1={n1} n2={n2} k={k} b={bs} solver={v} oracle={orc.value}",
+                "bipartite_cert", t0, False, f"{how} mismatch",
+                f"n1={n1} n2={n2} k={k} b={bs} {fault}",
             )
         count += 1
     return _result("bipartite_cert", t0, True, f"{count} instances")
@@ -988,32 +917,20 @@ def check_gadget_cert(params: dict, rng) -> CheckResult:
 def check_permutation_weak_gap(params: dict, rng) -> CheckResult:
     """Experiment, not an assumption: compare the weak {2} and 2-rainbow
     numbers on permutation graphs and report whether they ever differ."""
-    from .permutation import weak2_permutation
-
     t0 = time.perf_counter()
     max_n = params.get("max_n", 6)
     randoms = params.get("randoms", 100)
     rand_n = params.get("rand_n", 9)
+    entry = REGISTRY["permutation"]
+    exhaustive = (
+        pi for n in range(1, max_n + 1) for pi in itertools.permutations(range(n))
+    )
+    sampled = (entry.sample(rand_n, rng) for _ in range(randoms))
     gaps = []
     checked = 0
-    for n in range(1, max_n + 1):
-        for pi in itertools.permutations(range(n)):
-            wv, _ = weak2_permutation(pi)
-            rv, _ = rainbow2_permutation(pi)
-            if wv > rv:
-                return _result(
-                    "permutation_weak_gap", t0, False,
-                    "weak exceeded rainbow", f"pi={pi}",
-                )
-            if wv != rv:
-                gaps.append(pi)
-            checked += 1
-    for _ in range(randoms):
-        pi = list(range(rand_n))
-        rng.shuffle(pi)
-        pi = tuple(pi)
-        wv, _ = weak2_permutation(pi)
-        rv, _ = rainbow2_permutation(pi)
+    for pi in itertools.chain(exhaustive, sampled):
+        wv, _ = entry.solvers["weak"](pi, 2, None, None)
+        rv, _ = entry.solvers["rainbow"](pi, 2, None, None)
         if wv > rv:
             return _result(
                 "permutation_weak_gap", t0, False,
@@ -1032,35 +949,28 @@ def check_permutation_weak_gap(params: dict, rng) -> CheckResult:
     return _result("permutation_weak_gap", t0, True, detail)
 
 
+# gated class -> (size parameter, default size, k, budget parameter,
+# default budget in seconds)
+_GATES = {
+    "cograph": ("cograph_leaves", 100_000, 8, "cograph_budget", 1.0),
+    "trivially-perfect": ("tp_n", 100_000, 8, "tp_budget", 2.0),
+    "interval": ("interval_n", 25, 2, "interval_budget", 60.0),
+    "permutation": ("permutation_n", 30, 2, "permutation_budget", 120.0),
+}
+
+
 def check_perf_gates(params: dict, rng) -> CheckResult:
-    """Throughput gates for the linear-time claims at desk scale."""
+    """Throughput gates for the linear-time claims at desk scale: each gate
+    times its class's ``timed`` on an instance from its ``sample``, the
+    pair ``bench`` runs."""
     t0 = time.perf_counter()
     results = []
-    t = random_cotree(params.get("cograph_leaves", 100_000), 42)
-    t1 = time.perf_counter()
-    rainbow_cograph(t, 8)
-    dt = time.perf_counter() - t1
-    results.append(("cograph", dt, params.get("cograph_budget", 1.0)))
-    model = random_tree_model(params.get("tp_n", 100_000), 7)
-    t1 = time.perf_counter()
-    gamma_wk_tp(model, 8)
-    dt = time.perf_counter() - t1
-    results.append(("trivially-perfect", dt, params.get("tp_budget", 2.0)))
-    n = params.get("interval_n", 25)
-    spans = tuple(
-        tuple(sorted((rng.randint(1, n), rng.randint(1, n)))) for _ in range(n)
-    )
-    t1 = time.perf_counter()
-    weak2_interval(build_arrangement(IntervalModel(spans)))
-    dt = time.perf_counter() - t1
-    results.append(("interval", dt, params.get("interval_budget", 60.0)))
-    pn = params.get("permutation_n", 30)
-    pi = list(range(pn))
-    rng.shuffle(pi)
-    t1 = time.perf_counter()
-    rainbow2_permutation(tuple(pi))
-    dt = time.perf_counter() - t1
-    results.append(("permutation", dt, params.get("permutation_budget", 120.0)))
+    for cls, (size_key, n, k, budget_key, budget) in _GATES.items():
+        entry = REGISTRY[cls]
+        instance = entry.sample(params.get(size_key, n), rng)
+        t1 = time.perf_counter()
+        entry.timed(instance, k)
+        results.append((cls, time.perf_counter() - t1, params.get(budget_key, budget)))
     slow = [(name, dt, cap) for name, dt, cap in results if dt >= cap]
     if slow:
         detail = ", ".join(f"{name}={dt:.2f}s" for name, dt, _ in results)

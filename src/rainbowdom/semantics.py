@@ -31,6 +31,7 @@ __all__ = [
     "is_k_dom",
     "is_jk_dom",
     "is_weak_kL",
+    "check_witness",
     "rainbow_to_weight",
     "render_rainbow",
     "parse_rainbow",
@@ -56,11 +57,6 @@ class RainbowFunction:
         for v, lab in enumerate(self.labels):
             if not lab <= frozenset(range(1, self.k + 1)):
                 raise ValueError(f"label of vertex {v} not within 1..{self.k}")
-
-    @staticmethod
-    def from_dict(k: int, n: int, labels: dict[int, set[int]]) -> "RainbowFunction":
-        labs = [frozenset(labels.get(v, ())) for v in range(n)]
-        return RainbowFunction(k, tuple(labs))
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,35 @@ def is_weak_kL(
             if total < b:
                 return False, v
     return True, None
+
+
+def check_witness(
+    problem: str, g: Graph, value: int, witness, j: int | None = None,
+    L: KAssignment | None = None,
+) -> str | None:
+    """None when ``witness`` is a valid function of ``problem`` (rainbow,
+    weak, kdom, jkdom or weakL) on g that costs exactly ``value``; else
+    what is wrong with it."""
+    if witness is None:
+        return "no witness"
+    if problem == "rainbow":
+        ok, viol = is_rainbow(g, witness)
+        cost = rainbow_cost(witness)
+    else:
+        if problem == "weak":
+            ok, viol = is_weak_k(g, witness)
+        elif problem == "kdom":
+            ok, viol = is_k_dom(g, witness)
+        elif problem == "jkdom":
+            ok, viol = is_jk_dom(g, witness, j)
+        else:
+            ok, viol = is_weak_kL(g, witness, L)
+        cost = weight_cost(witness)
+    if not ok:
+        return f"witness fails {problem} validation at vertex {viol}"
+    if cost != value:
+        return f"witness costs {cost}, value is {value}"
+    return None
 
 
 def rainbow_to_weight(f: RainbowFunction) -> WeightFunction:

@@ -32,14 +32,12 @@ __all__ = [
     "RootedTreeModel",
     "TPRefusal",
     "ReducedInstance",
-    "DescendantOrder",
     "parse_tree_model",
     "render_tree_model",
     "parse_assignment",
     "render_assignment",
     "build_tree_model",
     "reduce_instance",
-    "descendant_order",
     "gamma_wkL",
     "gamma_wk_tp",
     "gamma_rk_tp",
@@ -320,56 +318,6 @@ def reduce_instance(model: RootedTreeModel, L: KAssignment) -> ReducedInstance:
         offset,
         tuple(kept),
         removed_weights,
-    )
-
-
-# --- descendant ordering -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DescendantOrder:
-    """Descendant cliques of a branch vertex, sorted for greedy exchange.
-
-    Each clique (a path hanging below the vertex) is reordered so its
-    demand levels do not increase with depth; the discounted demand of the
-    vertex at position p is its level minus the p-1 clique members above it.
-    The merged order lists all descendants by discounted demand, ties broken
-    by (clique index, position)."""
-
-    cliques: tuple[tuple[int, ...], ...]
-    d_values: dict
-    z_order: tuple[int, ...]
-
-
-def descendant_order(
-    model: RootedTreeModel, labels: KAssignment, x: int
-) -> DescendantOrder:
-    b = [p[1] for p in labels.pairs]
-    cliques = []
-    for c in model.children[x]:
-        path = []
-        v = c
-        while True:
-            path.append(v)
-            kids = model.children[v]
-            if not kids:
-                break
-            if len(kids) > 1:
-                raise ValueError(
-                    f"subtree below {x} branches at {v}; expected bare paths"
-                )
-            v = kids[0]
-        path.sort(key=lambda u: (-b[u], u))
-        cliques.append(tuple(path))
-    d_values = {}
-    keyed = []
-    for ci, clique in enumerate(cliques):
-        for pos, v in enumerate(clique, start=1):
-            d_values[v] = b[v] - pos + 1
-            keyed.append((-d_values[v], ci, pos, v))
-    keyed.sort()
-    return DescendantOrder(
-        tuple(cliques), d_values, tuple(item[3] for item in keyed)
     )
 
 

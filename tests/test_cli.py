@@ -224,13 +224,47 @@ def test_verify_timing(tmp_path):
     assert doc == json.loads(plain.read_text())
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(
-        "bench", "--class", "cograph", "--sizes", "100,1000", "--k", "3"
+# class -> (sizes, k) small enough for a quick run
+BENCH_SIZES = {
+    "cograph": ("100,1000", "3"),
+    "trivially-perfect": ("100,1000", "3"),
+    "interval": ("8,12", "2"),
+    "permutation": ("8,12", "2"),
+    "oracle": ("4,6", "2"),
+}
+
+
+def test_bench_smoke():
+    """bench runs every class that has a sample."""
+    from rainbowdom.registry import REGISTRY
+
+    assert [c for c, e in REGISTRY.items() if e.sample] == list(BENCH_SIZES)
+    for cls, (sizes, k) in BENCH_SIZES.items():
+        code, out, err = run_cli("bench", "--class", cls, "--sizes", sizes, "--k", k)
+        assert code == 0, (cls, err)
+        lines = out.strip().splitlines()
+        assert len(lines) == 3, cls  # header + two rows
+
+
+def test_registry_imports_neither_cli_nor_harness():
+    import os
+
+    import rainbowdom
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys, rainbowdom.registry; "
+        "print(sorted(m for m in ('rainbowdom.cli', 'rainbowdom.harness') "
+        "if m in sys.modules))"
     )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + two rows
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_weakL_tree_model_with_assignment(tmp_path):

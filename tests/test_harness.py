@@ -24,7 +24,10 @@ from rainbowdom.harness import (
     sweep_global_invariants,
 )
 from rainbowdom.generators import generate
+from rainbowdom.registry import REGISTRY
 import random
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_cograph_counts_match_published_sequence():
@@ -92,25 +95,41 @@ def test_report_determinism_and_roundtrip():
     assert doc["all_passed"] is True
 
 
-def test_mutation_is_caught():
-    """A deliberately broken solver must produce a counterexample."""
-
-    def broken_rainbow(tree, k):
-        from rainbowdom.cograph import rainbow_cograph
-
-        v, w = rainbow_cograph(tree, k)
+def _value_one_too_high(solver):
+    def broken(tree, k, j, L):
+        v, w = solver(tree, k, j, L)
         # corrupt the value on joins of two multi-vertex parts
         if tree.kind[tree.root] == "J" and tree.n_leaves >= 4:
             return v + 1, w
         return v, w
+    return broken
 
-    rng = random.Random(0)
-    result = check_cograph_cert(
-        {"max_leaves": 5, "ks": (2,)}, rng, rainbow_solver=broken_rainbow
-    )
-    assert not result.passed
-    assert result.counterexample is not None
-    assert "cotree=" in result.counterexample
+
+def _witness_dropped(solver):
+    def broken(tree, k, j, L):
+        return solver(tree, k, j, L)[0], None
+    return broken
+
+
+def test_mutation_is_caught(monkeypatch):
+    """A deliberately broken table solver must produce a counterexample:
+    one mutation of the value, one of the witness."""
+    solvers = REGISTRY["cograph"].solvers
+    for mutate in (_value_one_too_high, _witness_dropped):
+        with monkeypatch.context() as m:
+            m.setitem(solvers, "rainbow", mutate(solvers["rainbow"]))
+            result = check_cograph_cert({"max_leaves": 5, "ks": (2,)}, random.Random(0))
+        assert not result.passed, mutate.__name__
+        assert result.counterexample is not None
+        assert "cotree=" in result.counterexample
+
+
+def test_quick_plan_report_is_pinned():
+    """The quick plan's seed-3 report, byte for byte as `verify --seed 3
+    --out` wrote it before the checks went through the class table."""
+    with open(os.path.join(DATA, "verify_quick_seed3.json")) as fh:
+        pinned = fh.read()
+    assert run_plan(default_plan("quick", 3)).to_json() + "\n" == pinned
 
 
 SMALL_PLAN = CertificationPlan(3, (

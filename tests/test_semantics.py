@@ -6,6 +6,7 @@ from rainbowdom.semantics import (
     KAssignment,
     RainbowFunction,
     WeightFunction,
+    check_witness,
     is_jk_dom,
     is_k_dom,
     is_rainbow,
@@ -154,3 +155,34 @@ def test_rainbow_serialization_roundtrip():
 def test_weights_serialization_roundtrip():
     w = WeightFunction(3, (0, 3, 1))
     assert parse_weights(render_weights(w)) == w
+
+
+def test_check_witness_valid(c6):
+    f = rf(2, (1, 2), (), (), (1, 2), (), ())
+    assert check_witness("rainbow", c6, 4, f) is None
+    w = WeightFunction(2, (1, 1, 0, 1, 1, 0))
+    assert check_witness("weak", c6, 4, w) is None
+    L = KAssignment(2, ((1, 0),) + ((0, 2),) * 5)
+    assert check_witness("weakL", c6, 4, w, L=L) is None
+
+
+def test_check_witness_names_the_violating_vertex(c6):
+    f = rf(2, (1, 2), (), (), (), (), ())
+    assert check_witness("rainbow", c6, 2, f) == (
+        "witness fails rainbow validation at vertex 2"
+    )
+    w = WeightFunction(2, (2, 0, 0, 0, 0, 0))
+    assert check_witness("jkdom", c6, 2, w, j=1) == (
+        "witness fails jkdom validation at vertex 0"
+    )
+
+
+def test_check_witness_wrong_cost(c6):
+    f = rf(2, (1, 2), (), (), (1, 2), (), ())
+    assert check_witness("rainbow", c6, 3, f) == "witness costs 4, value is 3"
+    w = WeightFunction(2, (2,) * 6)
+    assert check_witness("kdom", c6, 6, w) == "witness costs 12, value is 6"
+
+
+def test_check_witness_missing(c6):
+    assert check_witness("weak", c6, 3, None) == "no witness"

@@ -17,11 +17,9 @@ from rainbowdom.oracle import (
     exact_weight_variant,
 )
 from rainbowdom.trivially_perfect import (
-    DescendantOrder,
     RootedTreeModel,
     TPRefusal,
     build_tree_model,
-    descendant_order,
     gamma_rk_tp,
     gamma_wkL,
     gamma_wk_tp,
@@ -116,36 +114,6 @@ def test_reduce_drops_satisfied_leaf():
     assert red.removed_weights[2] == 0
     assert red.offset == 2
     assert red.kept == (0,)
-
-
-def test_descendant_order_single_path():
-    m = RootedTreeModel((-1, 0, 1, 2))
-    L = KAssignment(3, ((0, 0), (0, 0), (0, 3), (0, 1)))
-    d = descendant_order(m, L, 1)
-    assert d.cliques == ((2, 3),)
-    assert d.d_values[2] == 3 and d.d_values[3] == 0
-    assert d.z_order == (2, 3)
-
-
-def test_descendant_order_tie_by_clique_index():
-    m = RootedTreeModel((-1, 0, 0))
-    L = KAssignment(2, ((0, 0), (0, 2), (0, 2)))
-    d = descendant_order(m, L, 0)
-    assert d.z_order == (1, 2)
-
-
-def test_descendant_order_empty():
-    m = RootedTreeModel((-1, 0))
-    L = KAssignment(2, ((0, 0), (0, 0)))
-    d = descendant_order(m, L, 1)
-    assert d.cliques == () and d.z_order == ()
-
-
-def test_descendant_order_requires_paths():
-    m = RootedTreeModel((-1, 0, 1, 1))
-    L = KAssignment(2, tuple((0, 0) for _ in range(4)))
-    with pytest.raises(ValueError):
-        descendant_order(m, L, 0)  # child 1 branches
 
 
 def test_two_branch_schedule_counterexample():
