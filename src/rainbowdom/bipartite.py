@@ -43,6 +43,8 @@ class BipartiteInstance:
 
     @staticmethod
     def from_labels(k: int, b_side1, b_side2) -> "BipartiteInstance":
+        if k < 1:
+            raise ValueError("k must be a positive integer")
         b1 = list(b_side1)
         b2 = list(b_side2)
         for b in b1 + b2:
@@ -60,6 +62,16 @@ class BipartiteInstance:
             order2,
         )
 
+    def assignment(self) -> KAssignment:
+        """The zero-floor assignment this instance encodes: demands in
+        vertex order, side 1 first."""
+        b = [0] * (self.n1 + self.n2)
+        for pos, orig in enumerate(self.order1):
+            b[orig] = self.b_sorted[pos]
+        for pos, orig in enumerate(self.order2):
+            b[self.n1 + orig] = self.b_prime_sorted[pos]
+        return KAssignment(self.k, tuple((0, x) for x in b))
+
 
 def parse_bipartite_instance(text: str) -> BipartiteInstance:
     """Line 1: ``n1 n2 k``; line 2: n1 demands; line 3: n2 demands."""
@@ -75,17 +87,12 @@ def parse_bipartite_instance(text: str) -> BipartiteInstance:
 
 
 def render_bipartite_instance(inst: BipartiteInstance) -> str:
-    b1 = [0] * inst.n1
-    for pos, orig in enumerate(inst.order1):
-        b1[orig] = inst.b_sorted[pos]
-    b2 = [0] * inst.n2
-    for pos, orig in enumerate(inst.order2):
-        b2[orig] = inst.b_prime_sorted[pos]
+    b = [x for _a, x in inst.assignment().pairs]
     return (
         f"{inst.n1} {inst.n2} {inst.k}\n"
-        + " ".join(map(str, b1))
+        + " ".join(map(str, b[:inst.n1]))
         + "\n"
-        + " ".join(map(str, b2))
+        + " ".join(map(str, b[inst.n1:]))
         + "\n"
     )
 

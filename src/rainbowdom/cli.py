@@ -2,7 +2,7 @@
 
 Values go to standard output as a single integer line; diagnostics go to
 standard error.  Exit codes: 0 success, 2 bad input or incompatible
-problem/class, 3 oracle cap exceeded.  Any witness is validated, and its
+problem/class, 3 oracle cap exceeded.  Every witness is validated, and its
 cost compared with the printed value, before either is written.  The
 (class, problem) table lives in ``rainbowdom.registry``.
 """
@@ -16,7 +16,7 @@ import sys
 import time
 
 from .graph import Graph, GraphParseError, parse_graph, render_graph
-from .semantics import KAssignment, RainbowFunction, WeightFunction, check_witness
+from .semantics import RainbowFunction, WeightFunction, check_witness
 from . import oracle as _oracle
 from .oracle import (
     InfeasibleInstance,
@@ -91,8 +91,6 @@ def cmd_solve(args) -> int:
             _fail("--j must satisfy 1 <= j <= k")
     if entry is not None and entry.k2_only and k != 2:
         _fail(f"class {cls} supports only k=2 for this problem")
-    if entry is not None and problem in entry.value_only and args.witness:
-        _fail("this class computes the rainbow number only; no witness available")
 
     L = None
     model = None
@@ -104,13 +102,7 @@ def cmd_solve(args) -> int:
         if model.k != k:
             _fail(f"instance file has k={model.k}, flag says k={k}")
         g = entry.to_graph(model)
-        b1 = [0] * model.n1
-        for pos, orig in enumerate(model.order1):
-            b1[orig] = model.b_sorted[pos]
-        b2 = [0] * model.n2
-        for pos, orig in enumerate(model.order2):
-            b2[orig] = model.b_prime_sorted[pos]
-        L = KAssignment(k, tuple((0, b) for b in b1 + b2))
+        L = model.assignment()
     elif entry is not None and entry.load is not None:
         if args.model:
             model = _read_model(cls, args.model)
@@ -174,14 +166,11 @@ def cmd_solve(args) -> int:
     except InfeasibleInstance as exc:
         _fail(f"infeasible: {exc}")
 
-    if witness is not None:
-        fault = check_witness(problem, g, value, witness, j, L)
-        if fault is not None:
-            raise AssertionError(f"internal error: {fault}")
+    fault = check_witness(problem, g, value, witness, j, L)
+    if fault is not None:
+        raise AssertionError(f"internal error: {fault}")
     print(value)
     if args.witness:
-        if witness is None:
-            _fail("no witness available for this solver")
         with open(args.witness, "w") as fh:
             fh.write(_witness_json(problem, k, value, witness) + "\n")
         print(f"witness written to {args.witness}", file=sys.stderr)
@@ -283,10 +272,15 @@ def cmd_convert(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
     entry = REGISTRY.get(args.klass)
     if entry is None or entry.sample is None:
         _fail(f"bench does not support class {args.klass!r}")
+    sizes = args.sizes.split(",")
+    if not all(s.strip().isdecimal() and int(s) > 0 for s in sizes):
+        _fail(f"--sizes must be comma-separated positive integers, got {args.sizes!r}")
+    sizes = [int(s) for s in sizes]
+    if args.k < 1:
+        _fail("--k must be a positive integer")
     rng = random.Random(args.seed)
     rows = []
     for n in sizes:

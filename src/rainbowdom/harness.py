@@ -31,7 +31,6 @@ from .oracle import (
     exact_weight_variant,
 )
 from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph
-from .p4sparse import rainbow_thick_spider, rainbow_thin_spider
 from .trivially_perfect import RootedTreeModel, reduce_instance
 from .interval import IntervalModel
 from .permutation import diagram_to_graph
@@ -536,8 +535,7 @@ def _compare(cls: str, problem: str, g: Graph, model, k: int, j=None, L=None,
     against the oracle's value on g, or against ``expect`` where the caller
     already has that value.  Returns (value, witness, fault): value is None
     when the solver finds no function, and fault is None when both values
-    agree and the witness, required unless the class lists the problem as
-    value-only, is valid and costs the value."""
+    agree and the witness is valid and costs the value."""
     entry = REGISTRY[cls]
     try:
         value, witness = entry.solvers[problem](model, k, j, L)
@@ -547,7 +545,7 @@ def _compare(cls: str, problem: str, g: Graph, model, k: int, j=None, L=None,
         expect = _oracle_value(problem, g, k, j, L)
     if value != expect:
         return value, witness, f"solver={value} oracle={expect}"
-    if value is None or witness is None and problem in entry.value_only:
+    if value is None:
         return value, witness, None
     return value, witness, check_witness(problem, g, value, witness, j, L)
 
@@ -669,7 +667,8 @@ def check_cograph_cert(params: dict, rng) -> CheckResult:
 
 
 def check_p4sparse_cert(params: dict, rng) -> CheckResult:
-    """Spider closed forms over the size grid plus full trees vs oracle."""
+    """The spider rule of the rainbow DP over a grid of recognized thin and
+    thick spiders, plus full trees, vs oracle."""
     t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
@@ -677,19 +676,17 @@ def check_p4sparse_cert(params: dict, rng) -> CheckResult:
     heads = tuple(params.get("heads", (0, 1, 2, 3)))
     for s in feet:
         for h in heads:
-            for kind, formula in (("thin", rainbow_thin_spider),
-                                  ("thick", rainbow_thick_spider)):
+            for kind in ("thin", "thick"):
                 if kind == "thick" and s < 3:
                     continue  # a thick spider has at least three feet
                 spider, _ = generate(f"{kind}_spider", s, h)
+                tree = REGISTRY["p4sparse"].recognize(spider, None)
                 for k in ks:
-                    got = formula(s, spider.n, k)
-                    orc = _oracle_value("rainbow", spider, k)
-                    if got != orc:
+                    _v, _w, fault = _compare("p4sparse", "rainbow", spider, tree, k)
+                    if fault:
                         return _result(
                             "p4sparse_cert", t0, False,
-                            f"{kind} formula s={s} head={h} k={k}",
-                            f"formula={got} oracle={orc}",
+                            f"{kind} spider s={s} head={h} k={k}", fault,
                         )
     count = 0
     for tree, g in enumerate_p4sparse_trees(max_n):
@@ -766,16 +763,21 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
 
 def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
     """The rainbow number equals the weak number on every forest model: the
-    table's value-only rainbow entry, which returns the weak number,
-    against the rainbow oracle."""
+    table's rainbow entry against the rainbow oracle, then its value
+    against the table's weak entry."""
     t0 = time.perf_counter()
     max_n = params.get("max_n", 8)
     ks = tuple(params.get("ks", (1, 2, 3)))
+    weak = REGISTRY["trivially-perfect"].solvers["weak"]
     count = 0
     for model in enumerate_rooted_forests(max_n):
         g = model.derived_graph()
         for k in ks:
-            _v, _w, fault = _compare("trivially-perfect", "rainbow", g, model, k)
+            value, _w, fault = _compare("trivially-perfect", "rainbow", g, model, k)
+            if not fault:
+                weak_value = weak(model, k, None, None)[0]
+                if weak_value != value:
+                    fault = f"rainbow={value} weak={weak_value}"
             if fault:
                 return _result(
                     "tp_rainbow_equality", t0, False, f"mismatch k={k}",

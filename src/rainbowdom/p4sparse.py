@@ -1,17 +1,10 @@
-"""P4-sparse recognition and the spider closed forms.
+"""P4-sparse recognition.
 
 A graph is P4-sparse when every five vertices induce at most one P4.
 Such a graph decomposes by unions, joins and spider nodes into a
 ``Cotree`` (see ``rainbowdom.cograph``, whose ``rainbow_cograph`` solves
-every such tree).  The closed forms for a lone spider:
-
-* thin:  |S| - 1 + k   (one foot empty, its partner carries all colors)
-* thick: k + 1         (one body vertex carries all colors, its excluded
-                        foot takes a single color); for |S| = 2 the thin
-                        and thick shapes coincide and so do the formulas.
-
-The thick closed form is certified against the oracle over the test grid
-rather than trusted.
+every such tree; its spider rule is certified against the oracle on a
+grid of thin and thick spiders rather than trusted).
 """
 
 from __future__ import annotations
@@ -26,8 +19,6 @@ __all__ = [
     "SpiderPartition",
     "P4SparseRefusal",
     "recognize_p4sparse",
-    "rainbow_thin_spider",
-    "rainbow_thick_spider",
     "check_spider",
     "count_induced_p4s",
     "is_p4_sparse_bruteforce",
@@ -154,17 +145,3 @@ def recognize_p4sparse(g: Graph):
     """Decompose into unions, joins and spiders; on failure return five
     vertices inducing two or more P4s."""
     return decompose(g, _spider_or_refusal)
-
-
-def rainbow_thin_spider(s_size: int, total: int, k: int) -> int:
-    """Value for a thin spider with |S| feet and `total` vertices."""
-    if s_size < 2:
-        raise ValueError("a spider has at least two feet")
-    return min(total, s_size - 1 + k)
-
-
-def rainbow_thick_spider(s_size: int, total: int, k: int) -> int:
-    """Conjectured closed form, certified against the oracle by the tests."""
-    if s_size < 2:
-        raise ValueError("a spider has at least two feet")
-    return min(total, k + 1)

@@ -30,7 +30,6 @@ from .p4sparse import recognize_p4sparse
 from .trivially_perfect import (
     RootedTreeModel,
     build_tree_model,
-    gamma_rk_tp,
     gamma_wkL,
     gamma_wk_tp,
     jk_domination_tp,
@@ -72,11 +71,11 @@ class GraphClass:
     """How solve, auto, convert, bench and verify handle one graph class.
 
     ``solvers`` maps each supported problem to ``solver(model, k, j, L)``,
-    which returns (value, witness or None); the oracle's model is the
-    graph.  ``load`` parses a model file (``kind`` names the file for
-    convert), ``recognize(g, L)`` returns a model of g or the refusal
-    message, and ``to_graph`` builds the graph a model encodes.  bench and
-    the harness's perf gates time ``timed(instance, k)`` on each
+    which returns (value, witness); the oracle's model is the graph.
+    ``load`` parses a model file (``kind`` names the file for convert),
+    ``recognize(g, L)`` returns a model of g or the refusal message, and
+    ``to_graph`` builds the graph a model encodes.  bench and the harness's
+    perf gates time ``timed(instance, k)`` on each
     ``instance = sample(n, rng)``."""
 
     solvers: dict[str, Callable]
@@ -85,7 +84,6 @@ class GraphClass:
     recognize: Callable | None = None
     to_graph: Callable | None = None
     k2_only: bool = False        # the sweeps solve k = 2 only
-    value_only: tuple = ()       # problems solved without a witness
     sample: Callable | None = None
     timed: Callable | None = None
 
@@ -194,12 +192,12 @@ REGISTRY: dict[str, GraphClass] = {
         to_graph=cotree_to_graph,
     ),
     "trivially-perfect": GraphClass(
-        {"rainbow": lambda m, k, j, L: (gamma_rk_tp(m, k), None),
+        {"rainbow": lambda m, k, j, L: rainbow_cograph(m.to_cotree(), k),
          "weak": lambda m, k, j, L: gamma_wk_tp(m, k),
          "jkdom": lambda m, k, j, L: jk_domination_tp(m, j, k),
          "weakL": lambda m, k, j, L: gamma_wkL(m, L)},
         load=parse_tree_model, kind="tree", recognize=_recognize_tp,
-        to_graph=lambda m: m.derived_graph(), value_only=("rainbow",),
+        to_graph=lambda m: m.derived_graph(),
         sample=_seeded(random_tree_model), timed=gamma_wk_tp,
     ),
     "interval": GraphClass(

@@ -33,10 +33,6 @@ __all__ = [
     "is_weak_kL",
     "check_witness",
     "rainbow_to_weight",
-    "render_rainbow",
-    "parse_rainbow",
-    "render_weights",
-    "parse_weights",
 ]
 
 
@@ -206,58 +202,3 @@ def rainbow_to_weight(f: RainbowFunction) -> WeightFunction:
     """Project labels to their sizes; preserves cost, and maps rainbow
     functions to weak {k}-dominating functions."""
     return WeightFunction(f.k, tuple(len(lab) for lab in f.labels))
-
-
-# --- witness serialization -------------------------------------------------
-#
-# Line-oriented text forms with a typed header; round-trips are bit-exact.
-
-
-def render_rainbow(f: RainbowFunction) -> str:
-    lines = [f"rainbow k={f.k} n={len(f.labels)}"]
-    for v, lab in enumerate(f.labels):
-        inner = ",".join(str(c) for c in sorted(lab))
-        lines.append(f"{v}: {{{inner}}}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_rainbow(text: str) -> RainbowFunction:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("rainbow "):
-        raise ValueError("missing rainbow header")
-    fields = dict(part.split("=") for part in lines[0].split()[1:])
-    k, n = int(fields["k"]), int(fields["n"])
-    labels: list[frozenset[int]] = [frozenset()] * n
-    if len(lines) - 1 != n:
-        raise ValueError("wrong number of label lines")
-    for ln in lines[1:]:
-        head, _, body = ln.partition(":")
-        v = int(head)
-        body = body.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise ValueError(f"malformed label line: {ln!r}")
-        inner = body[1:-1].strip()
-        labels[v] = frozenset(int(c) for c in inner.split(",")) if inner else frozenset()
-    return RainbowFunction(k, tuple(labels))
-
-
-def render_weights(w: WeightFunction) -> str:
-    lines = [f"weights k={w.k} n={len(w.weights)}"]
-    for v, x in enumerate(w.weights):
-        lines.append(f"{v}: {x}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_weights(text: str) -> WeightFunction:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("weights "):
-        raise ValueError("missing weights header")
-    fields = dict(part.split("=") for part in lines[0].split()[1:])
-    k, n = int(fields["k"]), int(fields["n"])
-    if len(lines) - 1 != n:
-        raise ValueError("wrong number of weight lines")
-    weights = [0] * n
-    for ln in lines[1:]:
-        head, _, body = ln.partition(":")
-        weights[int(head)] = int(body.strip())
-    return WeightFunction(k, tuple(weights))

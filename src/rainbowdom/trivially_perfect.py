@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 
+from .cograph import Cotree, CotreeBuilder
 from .graph import Graph
 from .semantics import KAssignment, WeightFunction
 from .oracle import InfeasibleInstance
@@ -40,7 +41,6 @@ __all__ = [
     "reduce_instance",
     "gamma_wkL",
     "gamma_wk_tp",
-    "gamma_rk_tp",
     "jk_domination_tp",
     "random_tree_model",
 ]
@@ -125,6 +125,25 @@ class RootedTreeModel:
                 above[v] = above[p] + (p,)
                 adj[v].update(above[v])
         return Graph(n, adj=adj)
+
+    def to_cotree(self) -> Cotree:
+        """The cotree of the modeled graph: each vertex joined with the
+        union of its children's cotrees, and the roots under one union."""
+        if not self.n:
+            raise ValueError("empty forest has no cotree")
+        b = CotreeBuilder()
+        node = [-1] * self.n
+
+        def union(vs) -> int:
+            acc = node[vs[0]]
+            for c in vs[1:]:
+                acc = b.node("U", acc, node[c])
+            return acc
+
+        for v in reversed(self.order):  # children first
+            ch = self.children[v]
+            node[v] = b.node("J", b.leaf(v), union(ch)) if ch else b.leaf(v)
+        return b.tree(union(self.roots))
 
     def subtree_sizes(self) -> list[int]:
         size = [1] * self.n
@@ -445,12 +464,6 @@ def gamma_wkL(model: RootedTreeModel, L: KAssignment):
 def gamma_wk_tp(model: RootedTreeModel, k: int):
     """Weak {k}-domination via the all-(0,k) assignment."""
     return gamma_wkL(model, KAssignment.uniform(k, model.n))
-
-
-def gamma_rk_tp(model: RootedTreeModel, k: int) -> int:
-    """Rainbow domination number, using the equality with the weak number
-    on this class; value only, no rainbow witness."""
-    return gamma_wk_tp(model, k)[0]
 
 
 def jk_domination_tp(model: RootedTreeModel, j: int, k: int):

@@ -92,6 +92,8 @@ def test_criterion_6_trivially_perfect_certification():
         6, 1800.0, check_tp_cert,
         {"max_n": 8, "ks": [1, 2, 3], "assignments": 100, "jk_max": 3},
     )
+    # the paper's equality: rainbow (with a witness) vs oracle and weak
+    _run(6, 600.0, check_tp_rainbow_equality, {"max_n": 8, "ks": [1, 2, 3]})
 
 
 def test_criterion_7_interval_certification():

@@ -96,6 +96,7 @@ def test_nonzero_floor_rejected():
 def test_file_roundtrip():
     inst = BipartiteInstance.from_labels(2, [2, 0, 1], [1, 1])
     assert parse_bipartite_instance(render_bipartite_instance(inst)) == inst
+    assert instance_from_assignment(3, 2, inst.assignment()) == inst
 
 
 def test_parse_errors():
@@ -103,3 +104,5 @@ def test_parse_errors():
         parse_bipartite_instance("1 1 2\n0\n")
     with pytest.raises(ValueError):
         parse_bipartite_instance("2 1 2\n0\n0\n")
+    with pytest.raises(ValueError):  # no assignment has k = 0
+        parse_bipartite_instance("1 1 0\n0\n0\n")

@@ -246,6 +246,15 @@ def test_bench_smoke():
         assert len(lines) == 3, cls  # header + two rows
 
 
+@pytest.mark.parametrize("argv", [
+    ("--sizes", "10,x"), ("--sizes", "0"), ("--sizes", "-3"), ("--sizes", "10", "--k", "0"),
+])
+def test_bench_bad_arguments_exit_2(argv):
+    code, out, err = run_cli("bench", "--class", "cograph", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_registry_imports_neither_cli_nor_harness():
     import os
 
@@ -383,8 +392,27 @@ def star_inputs(tmp_path):
     return paths
 
 
-def test_class_table_matches_support_matrix(star_inputs):
+def _read_witness(path, problem):
+    """The function a `solve --witness` file holds."""
+    from rainbowdom.semantics import RainbowFunction, WeightFunction
+
+    doc = json.loads(path.read_text())
+    assert doc["problem"] == problem
+    if problem == "rainbow":
+        labels = doc["labels"]
+        return RainbowFunction(doc["k"], tuple(
+            frozenset(labels[str(v)]) for v in range(len(labels))))
+    weights = doc["weights"]
+    return WeightFunction(doc["k"], tuple(weights[str(v)] for v in range(len(weights))))
+
+
+def test_class_table_matches_support_matrix(star_inputs, tmp_path):
+    """Every supported pair solves the star and writes a witness that
+    check_witness accepts; every other pair is refused."""
     from rainbowdom.cli import CLASSES, PROBLEMS
+    from rainbowdom.graph import parse_graph
+    from rainbowdom.semantics import check_witness
+    from rainbowdom.trivially_perfect import parse_assignment
 
     inputs = {
         "cograph": "cotree", "p4sparse": "cotree", "trivially-perfect": "tree",
@@ -392,6 +420,8 @@ def test_class_table_matches_support_matrix(star_inputs):
         "complete-bipartite": "bip",
     }
     assert set(COMPAT) == set(PROBLEMS)
+    g = parse_graph(star_inputs["graph"].read_text())
+    L = parse_assignment(star_inputs["assign"].read_text(), 2)
     for problem in PROBLEMS:
         for cls in CLASSES:
             argv = ["solve", "--problem", problem, "--k", "2", "--class", cls]
@@ -404,7 +434,13 @@ def test_class_table_matches_support_matrix(star_inputs):
             if problem == "weakL" and cls != "complete-bipartite":
                 argv += ["--assignment", str(star_inputs["assign"])]
             code, out, err = run_cli(*argv)
-            if cls in COMPAT[problem]:
-                assert code == 0 and out.strip().isdigit(), (problem, cls, err)
-            else:
+            if cls not in COMPAT[problem]:
                 assert code == 2 and "cannot be solved" in err, (problem, cls)
+                continue
+            assert code == 0 and out.strip().isdigit(), (problem, cls, err)
+            wpath = tmp_path / f"{problem}-{cls}.json"
+            code, _out, err = run_cli(*argv, "--witness", str(wpath))
+            assert code == 0, (problem, cls, err)
+            assert check_witness(
+                problem, g, int(out), _read_witness(wpath, problem), 1, L
+            ) is None, (problem, cls)

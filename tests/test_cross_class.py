@@ -32,7 +32,6 @@ from rainbowdom.permutation import diagram_to_graph, rainbow2_permutation, weak2
 from rainbowdom.semantics import is_rainbow, is_weak_k, rainbow_cost, weight_cost
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
-    gamma_rk_tp,
     gamma_wk_tp,
     random_tree_model,
 )
@@ -90,7 +89,7 @@ def test_interval_sweeps_match_trivially_perfect(n):
         assert value == gamma_wk_tp(model, 2)[0]
         assert_valid(g, w, value, is_weak_k, weight_cost)
         value, f = rainbow2_interval(arr)
-        assert value == gamma_rk_tp(model, 2)
+        assert value == gamma_wk_tp(model, 2)[0]
         assert_valid(g, f, value, is_rainbow, rainbow_cost)
 
 
@@ -143,7 +142,7 @@ def test_tree_dps_match_trivially_perfect(n):
     assert isinstance(cotree, Cotree) and isinstance(p4tree, Cotree)
     assert "S" not in p4tree.kind
     for k in (1, 2, 3):
-        value = gamma_rk_tp(model, k)
+        value = gamma_wk_tp(model, k)[0]
         for tree in (cotree, p4tree):
             rv, f = rainbow_cograph(tree, k)
             assert rv == value

@@ -17,7 +17,7 @@ from rainbowdom.semantics import is_rainbow
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     build_tree_model,
-    gamma_rk_tp,
+    gamma_wk_tp,
 )
 
 N = sys.getrecursionlimit() + 200
@@ -56,7 +56,7 @@ def test_recognizers_return_trees(deep_graph):
 
 def test_cograph_and_tp_rainbow_agree(deep_graph):
     value, witness = rainbow_cograph(recognize_cograph(deep_graph), 2)
-    assert value == gamma_rk_tp(build_tree_model(deep_graph), 2)
+    assert value == gamma_wk_tp(build_tree_model(deep_graph), 2)[0]
     assert is_rainbow(deep_graph, witness)[0]
     assert sum(len(label) for label in witness.labels) == value
 

@@ -28,6 +28,7 @@ from rainbowdom.registry import REGISTRY
 import random
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_cograph_counts_match_published_sequence():
@@ -125,11 +126,19 @@ def test_mutation_is_caught(monkeypatch):
 
 
 def test_quick_plan_report_is_pinned():
-    """The quick plan's seed-3 report, byte for byte as `verify --seed 3
-    --out` wrote it before the checks went through the class table."""
-    with open(os.path.join(DATA, "verify_quick_seed3.json")) as fh:
-        pinned = fh.read()
-    assert run_plan(default_plan("quick", 3)).to_json() + "\n" == pinned
+    """The quick plan's seed-3 report and the benchmark plan's seed-101
+    report, byte for byte as `verify --out` wrote them before the checks
+    went through the class table and before the trivially perfect rainbow
+    entry built a witness, respectively."""
+    with open(os.path.join(ROOT, "perfbench", "certify_plan.json")) as fh:
+        bench_plan = CertificationPlan.from_json(fh.read())
+    for plan, name in (
+        (default_plan("quick", 3), "verify_quick_seed3.json"),
+        (CertificationPlan(101, bench_plan.checks), "verify_bench_seed101.json"),
+    ):
+        with open(os.path.join(DATA, name)) as fh:
+            pinned = fh.read()
+        assert run_plan(plan).to_json() + "\n" == pinned, name
 
 
 SMALL_PLAN = CertificationPlan(3, (

@@ -18,8 +18,6 @@ from rainbowdom.p4sparse import (
     check_spider,
     count_induced_p4s,
     is_p4_sparse_bruteforce,
-    rainbow_thick_spider,
-    rainbow_thin_spider,
     recognize_p4sparse,
 )
 from rainbowdom.generators import generate
@@ -133,29 +131,41 @@ def test_recognizer_matches_bruteforce_seeded_6_7():
             is_p4_sparse_bruteforce(g)
 
 
+def _spider_value(text: str, k: int) -> int:
+    t = parse_cotree(text)
+    v, w = rainbow_cograph(t, k)
+    assert is_rainbow(cotree_to_graph(t), w)[0] and rainbow_cost(w) == v
+    return v
+
+
 def test_thin_formula_examples():
-    assert rainbow_thin_spider(3, 6, 2) == 4
-    assert rainbow_thin_spider(2, 4, 1) == 2
-    assert rainbow_thin_spider(2, 14, 3) == 4
+    # |S| - 1 + k, capped by the vertex count
+    assert _spider_value("(S thin (0 1 2) (3 4 5))", 2) == 4
+    assert _spider_value("(S thin (0 1) (2 3))", 1) == 2
+    big_head = "(U 4 (U 5 (U 6 (U 7 (U 8 (U 9 (U 10 (U 11 (U 12 13)))))))))"
+    assert _spider_value(f"(S thin (0 1) (2 3) {big_head})", 3) == 4
 
 
 def test_thick_formula_examples():
-    assert rainbow_thick_spider(3, 6, 1) == 2
-    assert rainbow_thick_spider(3, 6, 2) == 3
-    assert rainbow_thick_spider(4, 10, 3) == 4
+    # k + 1, capped by the vertex count
+    assert _spider_value("(S thick (0 1 2) (3 4 5))", 1) == 2
+    assert _spider_value("(S thick (0 1 2) (3 4 5))", 2) == 3
+    assert _spider_value("(S thick (0 1 2 3) (4 5 6 7) (U 8 9))", 3) == 4
 
 
 def test_formulas_against_oracle_small_grid():
     for s in (2, 3):
         for head in (0, 1):
-            for k in (1, 2):
-                gthin, _ = generate("thin_spider", s, head)
-                assert rainbow_thin_spider(s, gthin.n, k) == \
-                    exact_rainbow(gthin, k, cap=24).value
-                if s >= 3:
-                    gthick, _ = generate("thick_spider", s, head)
-                    assert rainbow_thick_spider(s, gthick.n, k) == \
-                        exact_rainbow(gthick, k, cap=24).value
+            for kind in ("thin", "thick"):
+                if kind == "thick" and s < 3:
+                    continue
+                g, _ = generate(f"{kind}_spider", s, head)
+                tree = recognize_p4sparse(g)
+                assert "S" in tree.kind
+                for k in (1, 2):
+                    v, w = rainbow_cograph(tree, k)
+                    assert v == exact_rainbow(g, k, cap=24).value
+                    assert is_rainbow(g, w)[0] and rainbow_cost(w) == v
 
 
 def test_tree_dp_against_oracle_small():

@@ -12,12 +12,8 @@ from rainbowdom.semantics import (
     is_rainbow,
     is_weak_k,
     is_weak_kL,
-    parse_rainbow,
-    parse_weights,
     rainbow_cost,
     rainbow_to_weight,
-    render_rainbow,
-    render_weights,
     weight_cost,
 )
 
@@ -145,16 +141,6 @@ def test_out_of_range_values_rejected():
         WeightFunction(2, (3,))
     with pytest.raises(ValueError):
         KAssignment(2, ((0, 3),))
-
-
-def test_rainbow_serialization_roundtrip():
-    f = rf(3, (1, 3), (), (2,))
-    assert parse_rainbow(render_rainbow(f)) == f
-
-
-def test_weights_serialization_roundtrip():
-    w = WeightFunction(3, (0, 3, 1))
-    assert parse_weights(render_weights(w)) == w
 
 
 def test_check_witness_valid(c6):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     TPRefusal,
     build_tree_model,
-    gamma_rk_tp,
     gamma_wkL,
     gamma_wk_tp,
     jk_domination_tp,
@@ -32,11 +32,37 @@ from rainbowdom.trivially_perfect import (
     render_tree_model,
 )
 from rainbowdom.trivially_perfect import _solve_tree_weakL
+from rainbowdom.cograph import cotree_to_graph, rainbow_cograph
+from rainbowdom.harness import enumerate_rooted_forests
 
 
 def test_model_roundtrip():
     m = RootedTreeModel((-1, 0, 0, 1))
     assert parse_tree_model(render_tree_model(m)).parents == m.parents
+
+
+def test_to_cotree_encodes_the_derived_graph():
+    for m in enumerate_rooted_forests(7):
+        assert cotree_to_graph(m.to_cotree()) == m.derived_graph(), m.parents
+    # a path model of depth d is the complete graph K_d, so the graphs are
+    # compared past the recursion limit and the 5,000-deep path is solved
+    deep = sys.getrecursionlimit() + 200
+    path = RootedTreeModel([-1] + list(range(deep - 1)))
+    assert cotree_to_graph(path.to_cotree()) == path.derived_graph()
+    path = RootedTreeModel([-1] + list(range(4999)))
+    t = path.to_cotree()
+    assert t.n_leaves == 5000
+    for k in (1, 2, 3):
+        value, f = rainbow_cograph(t, k)
+        assert value == gamma_wk_tp(path, k)[0] == k
+        # on a complete graph, a labelling is rainbow iff it uses every color
+        assert frozenset().union(*f.labels) == frozenset(range(1, k + 1))
+        assert sum(map(len, f.labels)) == k
+
+
+def test_to_cotree_rejects_empty_forest():
+    with pytest.raises(ValueError):
+        RootedTreeModel(()).to_cotree()
 
 
 def test_model_rejects_cycles():
@@ -200,7 +226,7 @@ def test_gamma_rk_matches_rainbow_oracle():
         m = random_tree_model(n, 77 + seed)
         g = m.derived_graph()
         for k in (1, 2, 3):
-            assert gamma_rk_tp(m, k) == exact_rainbow(g, k, cap=24).value
+            assert gamma_wk_tp(m, k)[0] == exact_rainbow(g, k, cap=24).value
 
 
 def test_jk_level_rule_examples():
