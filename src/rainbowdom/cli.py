@@ -41,6 +41,13 @@ def _fail(message: str, code: int = 2):
     raise CliError(message, code)
 
 
+def _check_k(entry, cls: str, k) -> None:
+    if k is None or k < 1:
+        _fail("--k must be a positive integer")
+    if entry is not None and entry.k2_only and k != 2:
+        _fail(f"class {cls} supports only k=2 for this problem")
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
@@ -83,14 +90,11 @@ def cmd_solve(args) -> int:
     if entry is not None and problem not in entry.solvers:
         _fail(f"problem {problem} cannot be solved with class {cls}")
     k = args.k
-    if k is None or k < 1:
-        _fail("--k must be a positive integer")
+    _check_k(entry, cls, k)
     j = args.j
     if problem == "jkdom":
         if j is None or not (1 <= j <= k):
             _fail("--j must satisfy 1 <= j <= k")
-    if entry is not None and entry.k2_only and k != 2:
-        _fail(f"class {cls} supports only k=2 for this problem")
 
     L = None
     model = None
@@ -279,15 +283,14 @@ def cmd_bench(args) -> int:
     if not all(s.strip().isdecimal() and int(s) > 0 for s in sizes):
         _fail(f"--sizes must be comma-separated positive integers, got {args.sizes!r}")
     sizes = [int(s) for s in sizes]
-    if args.k < 1:
-        _fail("--k must be a positive integer")
+    _check_k(entry, args.klass, args.k)
     rng = random.Random(args.seed)
     rows = []
     for n in sizes:
         instance = entry.sample(n, rng)
-        t0 = time.time()
+        t0 = time.perf_counter()
         entry.timed(instance, args.k)
-        rows.append((n, time.time() - t0))
+        rows.append((n, time.perf_counter() - t0))
     print(f"{'n':>10}  {'seconds':>10}")
     for n, dt in rows:
         print(f"{n:>10}  {dt:>10.3f}")

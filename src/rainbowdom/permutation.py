@@ -21,8 +21,12 @@ coordinate of a segment still to come below it, which changes nothing that
 is still to come and merges states that differ only in the past.  A waiter
 that rounds to 0 can no longer be helped, and its state dies.
 
-One segment is decided per step, so every label is tried; nothing caps the
-number of carriers or waiters.
+One segment is decided per step, so every label is tried.  After each step
+a state is dropped when another state of the step dominates it: no higher
+cost, and each of its ten reaches at least as far (``sweep.undominated``
+gives the argument).  Each reach only ever helps when it reaches further,
+so a dominating state completes every labelling of the segments still to
+come that the dominated one completes, at no more cost.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .sweep import (
     as_rainbow,
     as_weights,
     gain_at,
+    undominated,
     upper_bound,
 )
 
@@ -107,36 +112,43 @@ def _sweep(pi, labels: Labels):
         reach_s = x[side]
         to_come[0][pi[s]] = to_come[1][s] = False
         rounding = (_rounding(to_come[0], absent), _rounding(to_come[1], absent))
-        memo: dict = {}
-
-        def after(t, state, lab, need):
-            """advance() on side t, once per distinct argument in this step."""
-            k = (t, state, lab, need)
-            if k not in memo:
-                own = t == side
-                memo[k] = advance(
-                    labels, state, x[t], lab,
-                    (lab, reach_s) if own and lab else None,
-                    (need, reach_s) if own and not lab else None,
-                    rounding[t],
-                )
-            return memo[k]
-
+        own: dict = {}  # advance() on s's side, by (state, label, need)
+        other: dict = {}  # advance() on the other side, by (state, label)
         layer: dict = {}
         for key, (base, _prev, _label) in layers[-1].items():
             have = join[gain_at(key[0], x[0])][gain_at(key[1], x[1])]
+            mine_at, other_at = key[side], key[1 - side]
             for lab, c in choices:
                 total = base + c
                 if total > ub:
                     continue
-                mine = after(side, key[side], lab, 0 if lab else left[FULL][have])
-                other = after(1 - side, key[1 - side], lab, 0)
-                if mine is None or other is None:
+                need = 0 if lab else left[FULL][have]
+                k = (mine_at, lab, need)
+                if k in own:
+                    mine = own[k]
+                else:
+                    mine = own[k] = advance(
+                        labels, mine_at, x[side], lab,
+                        (lab, reach_s) if lab else None,
+                        None if lab else (need, reach_s),
+                        rounding[side],
+                    )
+                if mine is None:
                     continue
-                new_key = (mine, other) if side == 0 else (other, mine)
+                k = (other_at, lab)
+                if k in other:
+                    theirs = other[k]
+                else:
+                    theirs = other[k] = advance(
+                        labels, other_at, x[1 - side], lab, None, None, rounding[1 - side]
+                    )
+                if theirs is None:
+                    continue
+                new_key = (mine, theirs) if side == 0 else (theirs, mine)
                 old = layer.get(new_key)
                 if old is None or total < old[0]:
                     layer[new_key] = (total, key, lab)
+        layer = undominated(layer, absent)
         layers.append(layer)
 
     # every waiter has been rounded away by now, so one state is left

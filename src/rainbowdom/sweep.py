@@ -110,6 +110,61 @@ def advance(labels: Labels, state: tuple, x: int, gain: int, carried, waiter, ro
     return rounded[r0], rounded[r1], w1, w2, w3
 
 
+def undominated(layer: dict, absent: int) -> dict:
+    """The states of `layer` that no other state of it dominates.
+
+    Keys are tuples of states, each a tuple of reaches from 0 to `absent`;
+    values start with the cost.  A state dominates another when its cost is
+    no higher and every reach is at least as far.  Dropping the dominated
+    one loses no optimum, because each reach only ever helps when it
+    reaches further:
+
+    - a further carrier reach gives at least as much at every later
+      coordinate, so no later zero vertex needs more;
+    - a further waiter reach is crossed by every later vertex that crosses
+      the nearer one, so that waiter is satisfied whenever the nearer one
+      would be;
+    - the rounding maps further reaches no nearer, and a waiter absorbed
+      into one lacking everything only drops a need that one implies.
+
+    So every labelling of the vertices still to come that completes the
+    dominated state completes the dominating one, at no more cost.
+
+    Each key is packed into one int, a field per reach with a guard bit
+    above it; with G the guard bits, ``a`` dominates ``b`` field by field
+    exactly when ``((a | G) - b) & G == G``.  States are met by ascending
+    cost, the larger packed key first among equal costs, so a dominating
+    state is always met before the states it dominates, and comparing each
+    with the kept ones suffices.
+    """
+    if len(layer) < 2:
+        return layer
+    width = absent.bit_length() + 1
+    first = next(iter(layer))
+    fields = len(first) * len(first[0])
+    # the top bit of every field: a repunit in base 2**width, shifted
+    guard = ((1 << width * fields) - 1) // ((1 << width) - 1) << (width - 1)
+    ranked = []
+    for key, value in layer.items():
+        packed = 0
+        for part in key:
+            for r in part:
+                packed = packed << width | r
+        ranked.append((value[0], -packed, key))
+    ranked.sort()
+    kept: list[int] = []
+    out = {}
+    for _cost, neg, key in ranked:
+        packed = -neg
+        for k in kept:
+            if (k - packed) & guard == guard:
+                break
+        else:
+            kept.append(packed | guard)
+            out[key] = layer[key]
+    return out
+
+
 def upper_bound(closed: list[int]) -> int:
     """Label FULL on a greedy dominating set: a bound on either number,
     given closed neighbourhoods as bitmasks."""

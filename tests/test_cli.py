@@ -247,12 +247,16 @@ def test_bench_smoke():
 
 
 @pytest.mark.parametrize("argv", [
-    ("--sizes", "10,x"), ("--sizes", "0"), ("--sizes", "-3"), ("--sizes", "10", "--k", "0"),
+    ("cograph", "--sizes", "10,x"), ("cograph", "--sizes", "0"), ("cograph", "--sizes", "-3"),
+    ("cograph", "--sizes", "10", "--k", "0"),
+    ("permutation", "--sizes", "10", "--k", "3"), ("interval", "--sizes", "10", "--k", "3"),
 ])
 def test_bench_bad_arguments_exit_2(argv):
-    code, out, err = run_cli("bench", "--class", "cograph", *argv)
+    code, out, err = run_cli("bench", "--class", *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if argv[0] != "cograph":  # the sweeps refuse k = 3 as solve does
+        assert err.strip() == f"error: class {argv[0]} supports only k=2 for this problem"
 
 
 def test_registry_imports_neither_cli_nor_harness():

@@ -111,7 +111,7 @@ def separable_permutation(t):
     return tuple(perm[t.root]), seq[t.root]
 
 
-@pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24])
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20, 24, 100, 200])
 def test_permutation_sweeps_match_cograph(n):
     for seed in range(8):
         t = random_cotree(n, seed)

@@ -13,6 +13,7 @@ from rainbowdom.permutation import (
     render_permutation,
     weak2_permutation,
 )
+from rainbowdom.sweep import undominated
 
 
 def test_parse_render_roundtrip():
@@ -104,6 +105,36 @@ def test_weak_and_rainbow_can_differ_on_this_class():
     assert rainbow2_permutation(pi)[0] == 4
     assert exact_weight_variant(g, "weak_k", 2).value == 3
     assert exact_rainbow(g, 2).value == 4
+
+
+def _naive_pareto(layer):
+    """The keys no other key beats: cost no higher and every reach as far."""
+    def flat(key):
+        return tuple(r for state in key for r in state)
+
+    return {
+        key for key, (cost, *_rest) in layer.items()
+        if not any(other != key and layer[other][0] <= cost
+                   and all(a >= b for a, b in zip(flat(other), flat(key)))
+                   for other in layer)
+    }
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 9, 14, 30])
+def test_undominated_matches_naive_pareto_filter(n):
+    # n = 6, 14, 30: the reach n + 1 of no waiter fills its field
+    absent = n + 1
+    for seed in range(40):
+        rng = random.Random(1000 * n + seed)
+        # few distinct reaches and costs, so that dominance and cost ties are common
+        reaches = sorted({0, absent, *rng.sample(range(absent + 1), min(3, absent + 1))})
+        layer = {}
+        for _ in range(rng.randint(1, 60)):
+            key = tuple(tuple(rng.choice(reaches) for _ in range(5)) for _ in range(2))
+            layer[key] = (rng.randint(0, 3), None, 0)
+        kept = undominated(layer, absent)
+        assert set(kept) == _naive_pareto(layer), (n, seed)
+        assert all(kept[key] is layer[key] for key in kept)
 
 
 def test_moderate_instance_quick():
