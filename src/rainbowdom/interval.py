@@ -1,5 +1,6 @@
 """Weak {2} and 2-rainbow domination on interval graphs by one sweep over
-the consecutive clique arrangement.
+the consecutive clique arrangement, which one pass over the sorted
+endpoints builds in O(n log n).
 
 Both problems label vertices with masks (see ``sweep``): colour sets for
 the rainbow number, weights 1 and 2 as masks 1 and 3 for the weak number.
@@ -18,7 +19,8 @@ last[v], so the state after clique i is a tuple of integers, each a reach
   later.
 
 A state dies when a waiter ends with its need outstanding.  That leaves
-O(t^4) weak and O(t^5) rainbow states for t cliques.
+O(t^4) weak and O(t^5) rainbow states for t cliques, of which ``sweep.run``
+keeps only the undominated ones after each clique; no cost bound is needed.
 
 The entrants of one clique all start there, so their closed neighbourhoods
 are nested by where they end, and exchange arguments leave at most six
@@ -40,15 +42,7 @@ from dataclasses import dataclass
 
 from .graph import Graph
 from .sweep import (
-    FULL,
-    RAINBOW,
-    WEAK,
-    Labels,
-    advance,
-    as_rainbow,
-    as_weights,
-    gain_at,
-    upper_bound,
+    FULL, RAINBOW, WEAK, Labels, advance, as_rainbow, as_weights, gain_at, run,
 )
 
 __all__ = [
@@ -82,6 +76,7 @@ class IntervalModel:
 def parse_intervals(text: str) -> IntervalModel:
     """n lines ``v left right``."""
     entries = {}
+    n = 0  # lines read; a repeated vertex leaves fewer entries
     for ln in (raw.strip() for raw in text.splitlines()):
         if not ln:
             continue
@@ -89,9 +84,10 @@ def parse_intervals(text: str) -> IntervalModel:
         if len(parts) != 3:
             raise ValueError(f"malformed interval line: {ln!r}")
         entries[int(parts[0])] = (int(parts[1]), int(parts[2]))
-    if sorted(entries) != list(range(len(entries))):
+        n += 1
+    if sorted(entries) != list(range(n)):
         raise ValueError("intervals must cover vertices 0..n-1 exactly once")
-    return IntervalModel(tuple(entries[v] for v in range(len(entries))))
+    return IntervalModel(tuple(entries[v] for v in range(n)))
 
 
 def render_intervals(m: IntervalModel) -> str:
@@ -116,58 +112,45 @@ def interval_graph(m: IntervalModel) -> Graph:
 
 @dataclass(frozen=True)
 class CliqueArrangement:
-    """Maximal cliques in consecutive order; each vertex occupies the range
-    first[v]..last[v] of clique indices."""
+    """t maximal cliques in consecutive order; each vertex v occupies the
+    range first[v]..last[v] of clique indices."""
 
     n: int
-    cliques: tuple[frozenset[int], ...]
+    t: int
     first: tuple[int, ...]
     last: tuple[int, ...]
 
+    @property
+    def cliques(self) -> tuple[frozenset[int], ...]:
+        """The members of each clique, built from the ranges."""
+        members: list[list[int]] = [[] for _ in range(self.t)]
+        for v in range(self.n):
+            for i in range(self.first[v], self.last[v] + 1):
+                members[i].append(v)
+        return tuple(frozenset(K) for K in members)
+
 
 def build_arrangement(m: IntervalModel) -> CliqueArrangement:
-    """Sweep right endpoints left to right, keep the maximal active sets,
-    then verify the consecutive-range property."""
-    if m.n == 0:
-        return CliqueArrangement(0, (), (), ())
-    candidates = []
-    for p in sorted({hi for (_, hi) in m.intervals}):
-        active = frozenset(
-            v for v, (lo, hi) in enumerate(m.intervals) if lo <= p <= hi
-        )
-        candidates.append(active)
-    cliques = []
-    for K in candidates:
-        if any(K < K2 for K2 in candidates):
-            continue
-        if K not in cliques:
-            cliques.append(K)
-    first = [None] * m.n
-    last = [None] * m.n
-    for i, K in enumerate(cliques):
-        for v in K:
-            if first[v] is None:
-                first[v] = i
-            last[v] = i
-    for v in range(m.n):
-        assert first[v] is not None, f"vertex {v} missing from all cliques"
-        span = set(range(first[v], last[v] + 1))
-        member = {i for i, K in enumerate(cliques) if v in K}
-        assert member == span, f"vertex {v} occupies a non-consecutive range"
-    return CliqueArrangement(m.n, tuple(cliques), tuple(first), tuple(last))
+    """One pass over the sorted endpoints, starts before ends at equal
+    coordinates: the active intervals form a maximal clique exactly at an
+    end that follows a start, so a vertex's range runs from the first clique
+    closed after its start to the last one closed by its end."""
+    events = sorted(e for v, (lo, hi) in enumerate(m.intervals)
+                    for e in ((lo, 0, v), (hi, 1, v)))
+    first, last = [0] * m.n, [0] * m.n
+    t, opened = 0, False  # opened: a start since the last clique closed
+    for _x, end, v in events:
+        if end:
+            t += opened  # an end right after a start closes a clique
+            opened = False
+            last[v] = t - 1
+        else:
+            first[v], opened = t, True
+    return CliqueArrangement(m.n, t, tuple(first), tuple(last))
 
 
 #: diagnostics from the most recent sweep: peak live states and layer count
 LAST_SWEEP_STATS = {"max_states": 0, "layers": 0}
-
-
-def _closed_masks(arr: CliqueArrangement) -> list[int]:
-    nb = [0] * arr.n
-    for K in arr.cliques:
-        mask = sum(1 << v for v in K)
-        for v in K:
-            nb[v] |= mask
-    return nb
 
 
 def _entrant_options(ents: list[tuple[int, int]], labels: Labels, absent: int):
@@ -188,48 +171,38 @@ def _entrant_options(ents: list[tuple[int, int]], labels: Labels, absent: int):
 
 def _sweep(arr: CliqueArrangement, labels: Labels):
     """Minimum-cost labelling of the arrangement: (cost, label per vertex)."""
-    t, last = len(arr.cliques), arr.last
     left, join = labels.left, labels.join
-    ub = upper_bound(_closed_masks(arr))
-    entrants: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+    entrants: list[list[tuple[int, int]]] = [[] for _ in range(arr.t)]
     for v in range(arr.n):
-        entrants[arr.first[v]].append((last[v], v))
+        entrants[arr.first[v]].append((arr.last[v], v))
     # reaches run from 0 to t; t + 1 is the reach of no waiter
-    absent = t + 1
-    rounded = list(range(t + 2))
+    absent = arr.t + 1
+    rounded = list(range(arr.t + 2))
 
-    # state key: (r0, r1, waiter reach per need 1, 2, 3); value: (cost, prev, assign)
-    layers: list[dict] = [{(0, 0, absent, absent, absent): (0, None, ())}]
-    for i, ents in enumerate(entrants):
-        ents.sort()
-        opts = _entrant_options(ents, labels, absent)
-        rounded[i + 1] = 0  # a reach of at most i + 1 reaches no later clique
-        layer: dict = {}
-        for key, (base, _prev, _assign) in layers[-1].items():
-            have = gain_at(key, i)
-            for assign, c, gain, carried, zero_reach in opts:
-                total = base + c
-                if total > ub:
-                    continue
-                waiter = (left[FULL][join[have][gain]], zero_reach)
-                new_key = advance(labels, key, i, gain, carried, waiter, rounded)
-                if new_key is None:
-                    continue
-                old = layer.get(new_key)
-                if old is None or total < old[0]:
-                    layer[new_key] = (total, key, assign)
-        if not layer:
-            raise AssertionError("sweep lost all states; arrangement invalid")
-        layers.append(layer)
+    def steps():  # run() is done with one step before it asks for the next
+        for i, ents in enumerate(entrants):
+            ents.sort()
+            opts = _entrant_options(ents, labels, absent)
+            rounded[i + 1] = 0  # a reach of at most i + 1 reaches no later clique
 
-    LAST_SWEEP_STATS["max_states"] = max(len(layer) for layer in layers)
-    LAST_SWEEP_STATS["layers"] = len(layers)
+            def step(key, _budget):
+                have = gain_at(key[0], i)
+                moves = []
+                for assign, c, gain, carried, zero_reach in opts:
+                    waiter = (left[FULL][join[have][gain]], zero_reach)
+                    new = advance(labels, key[0], i, gain, carried, waiter, rounded)
+                    if new is not None:
+                        moves.append(((new,), c, assign))
+                return moves
 
-    # every waiter has ended by now, so one state is left
-    ((key, (best, _prev, _assign)),) = layers[-1].items()
+            yield step
+
+    # a state key is the 1-tuple of (r0, r1, waiter reach per need 1, 2, 3)
+    best, assigns, peak = run(((0, 0, absent, absent, absent),), steps(), absent)
+    LAST_SWEEP_STATS["max_states"] = peak
+    LAST_SWEEP_STATS["layers"] = arr.t + 1
     out = [0] * arr.n
-    for layer in reversed(layers[1:]):
-        _cost, key, assign = layer[key]
+    for assign in assigns:
         for v, lab in assign:
             out[v] = lab
     return best, out

@@ -21,28 +21,19 @@ coordinate of a segment still to come below it, which changes nothing that
 is still to come and merges states that differ only in the past.  A waiter
 that rounds to 0 can no longer be helped, and its state dies.
 
-One segment is decided per step, so every label is tried.  After each step
-a state is dropped when another state of the step dominates it: no higher
-cost, and each of its ten reaches at least as far (``sweep.undominated``
-gives the argument).  Each reach only ever helps when it reaches further,
-so a dominating state completes every labelling of the segments still to
-come that the dominated one completes, at no more cost.
+One segment is decided per step, so every label is tried, unless it costs
+more than a greedy dominating set with full labels.  After each step
+``sweep.run`` drops every state that another state of the step dominates:
+no higher cost, and each of its ten reaches at least as far
+(``sweep.undominated`` gives the argument).
 """
 
 from __future__ import annotations
 
 from .graph import Graph
+from .oracle import _greedy_dominating
 from .sweep import (
-    FULL,
-    RAINBOW,
-    WEAK,
-    Labels,
-    advance,
-    as_rainbow,
-    as_weights,
-    gain_at,
-    undominated,
-    upper_bound,
+    FULL, RAINBOW, WEAK, Labels, advance, as_rainbow, as_weights, gain_at, run,
 )
 
 __all__ = [
@@ -91,71 +82,76 @@ def _rounding(to_come: list[bool], absent: int) -> list[int]:
     return rounded
 
 
+def upper_bound(pi) -> int:
+    """Label FULL on a greedy dominating set: a bound on either number."""
+    n = len(pi)
+    if sorted(pi) != list(range(n)):
+        raise ValueError("not a permutation of 0..n-1")
+    # u crosses v iff their ends are inverted; u == v passes too, giving N[v]
+    closed = [sum(1 << u for u in range(n) if (u < v) == (pi[u] > pi[v]))
+              for v in range(n)]
+    return 2 * len(_greedy_dominating(closed, (1 << n) - 1))
+
+
 def _sweep(pi, labels: Labels):
     """Minimum-cost labelling of the segments: (cost, label per segment)."""
     n = len(pi)
-    g = diagram_to_graph(pi)  # raises ValueError on a non-permutation
+    ub = upper_bound(pi)  # raises ValueError on a non-permutation
     left, join = labels.left, labels.join
-    ub = upper_bound([1 << v | sum(1 << u for u in g.neighbors(v)) for v in range(n)])
     absent = n + 1  # the reach of no waiter
     choices = [(lab, lab.bit_count()) for lab in (0,) + labels.nonzero]
     order = sorted(range(n), key=lambda s: min(2 * s, 2 * pi[s] + 1))
     to_come = ([True] * n, [True] * n)  # bottom positions, top positions
 
-    # state key: one (r0, r1, waiter reach per need 1, 2, 3) per side;
-    # value: (cost, prev, label)
-    empty = (0, 0, absent, absent, absent)
-    layers: list[dict] = [{(empty, empty): (0, None, 0)}]
-    for s in order:
-        side = 0 if s <= pi[s] else 1
-        x = (pi[s], s)  # where s is met by side 0 and side 1 reaches
-        reach_s = x[side]
-        to_come[0][pi[s]] = to_come[1][s] = False
-        rounding = (_rounding(to_come[0], absent), _rounding(to_come[1], absent))
-        own: dict = {}  # advance() on s's side, by (state, label, need)
-        other: dict = {}  # advance() on the other side, by (state, label)
-        layer: dict = {}
-        for key, (base, _prev, _label) in layers[-1].items():
-            have = join[gain_at(key[0], x[0])][gain_at(key[1], x[1])]
-            mine_at, other_at = key[side], key[1 - side]
-            for lab, c in choices:
-                total = base + c
-                if total > ub:
-                    continue
-                need = 0 if lab else left[FULL][have]
-                k = (mine_at, lab, need)
-                if k in own:
-                    mine = own[k]
-                else:
-                    mine = own[k] = advance(
-                        labels, mine_at, x[side], lab,
-                        (lab, reach_s) if lab else None,
-                        None if lab else (need, reach_s),
-                        rounding[side],
-                    )
-                if mine is None:
-                    continue
-                k = (other_at, lab)
-                if k in other:
-                    theirs = other[k]
-                else:
-                    theirs = other[k] = advance(
-                        labels, other_at, x[1 - side], lab, None, None, rounding[1 - side]
-                    )
-                if theirs is None:
-                    continue
-                new_key = (mine, theirs) if side == 0 else (theirs, mine)
-                old = layer.get(new_key)
-                if old is None or total < old[0]:
-                    layer[new_key] = (total, key, lab)
-        layer = undominated(layer, absent)
-        layers.append(layer)
+    def steps():  # run() is done with one step before it asks for the next
+        for s in order:
+            side = 0 if s <= pi[s] else 1
+            x = (pi[s], s)  # where s is met by side 0 and side 1 reaches
+            reach_s = x[side]
+            to_come[0][pi[s]] = to_come[1][s] = False
+            rounding = (_rounding(to_come[0], absent), _rounding(to_come[1], absent))
+            own: dict = {}  # advance() on s's side, by (state, label, need)
+            other: dict = {}  # advance() on the other side, by (state, label)
 
-    # every waiter has been rounded away by now, so one state is left
-    ((key, (best, _prev, _label)),) = layers[-1].items()
+            def step(key, budget):
+                have = join[gain_at(key[0], x[0])][gain_at(key[1], x[1])]
+                mine_at, other_at = key[side], key[1 - side]
+                moves = []
+                for lab, c in choices:
+                    if c > budget:
+                        continue
+                    need = 0 if lab else left[FULL][have]
+                    k = (mine_at, lab, need)
+                    if k not in own:
+                        own[k] = advance(
+                            labels, mine_at, x[side], lab,
+                            (lab, reach_s) if lab else None,
+                            None if lab else (need, reach_s),
+                            rounding[side],
+                        )
+                    mine = own[k]
+                    if mine is None:
+                        continue
+                    k = (other_at, lab)
+                    if k not in other:
+                        other[k] = advance(
+                            labels, other_at, x[1 - side], lab, None, None,
+                            rounding[1 - side],
+                        )
+                    theirs = other[k]
+                    if theirs is None:
+                        continue
+                    moves.append(((mine, theirs) if side == 0 else (theirs, mine), c, lab))
+                return moves
+
+            yield step
+
+    # a state key is one (r0, r1, waiter reach per need 1, 2, 3) per side
+    empty = (0, 0, absent, absent, absent)
+    best, labs, _peak = run((empty, empty), steps(), absent, ub)
     out = [0] * n
-    for s, layer in zip(reversed(order), reversed(layers)):
-        _cost, key, out[s] = layer[key]
+    for s, lab in zip(order, labs):
+        out[s] = lab
     return best, out
 
 

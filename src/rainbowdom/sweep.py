@@ -1,4 +1,5 @@
-"""Label arithmetic shared by the interval and permutation sweeps at k = 2.
+"""Label arithmetic and the layered loop shared by the interval and
+permutation sweeps at k = 2.
 
 Both sweeps decide vertices left to right and give each a label mask.  In
 rainbow mode the mask is the colour set (bit 0 colour 1, bit 1 colour 2);
@@ -19,9 +20,9 @@ coordinate x is ``(x < r0) | (x < r1) << 1`` in both modes:
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
-from .oracle import _greedy_dominating
 from .semantics import RainbowFunction, WeightFunction
 
 FULL = 3  # the need of a zero vertex that has received nothing
@@ -165,7 +166,32 @@ def undominated(layer: dict, absent: int) -> dict:
     return out
 
 
-def upper_bound(closed: list[int]) -> int:
-    """Label FULL on a greedy dominating set: a bound on either number,
-    given closed neighbourhoods as bitmasks."""
-    return 2 * len(_greedy_dominating(closed, (1 << len(closed)) - 1))
+def run(start: tuple, steps, absent: int, bound: float = inf):
+    """Cheapest labelling by one layered sweep: (cost, label per step, peak
+    live states).
+
+    Each step is a callable ``step(key, budget)`` on a state of the last
+    layer and the cost still allowed on top of it (`bound` less the state's
+    cost); it returns the (new key, cost, label) moves worth trying.  Each
+    new key keeps its cheapest way in, and each layer keeps only its
+    undominated states.  The steps must leave one state after the last.
+    """
+    layers: list[dict] = [{start: (0, None, None)}]
+    peak = 1
+    for step in steps:
+        layer: dict = {}
+        for key, (base, _prev, _label) in layers[-1].items():
+            for new_key, c, label in step(key, bound - base):
+                total = base + c
+                old = layer.get(new_key)
+                if old is None or total < old[0]:
+                    layer[new_key] = (total, key, label)
+        layer = undominated(layer, absent)
+        peak = max(peak, len(layer))
+        layers.append(layer)
+    ((key, (best, _prev, _label)),) = layers[-1].items()
+    out = []
+    for layer in reversed(layers[1:]):
+        _cost, key, label = layer[key]
+        out.append(label)
+    return best, out[::-1], peak

@@ -157,6 +157,7 @@ class RootedTreeModel:
 def parse_tree_model(text: str) -> RootedTreeModel:
     """n lines ``v parent`` with -1 marking roots."""
     entries = {}
+    n = 0  # lines read; a repeated vertex leaves fewer entries
     for ln in (raw.strip() for raw in text.splitlines()):
         if not ln:
             continue
@@ -164,7 +165,7 @@ def parse_tree_model(text: str) -> RootedTreeModel:
         if len(parts) != 2:
             raise ValueError(f"malformed model line: {ln!r}")
         entries[int(parts[0])] = int(parts[1])
-    n = len(entries)
+        n += 1
     if sorted(entries) != list(range(n)):
         raise ValueError("model must list each vertex 0..n-1 exactly once")
     return RootedTreeModel([entries[v] for v in range(n)])
@@ -177,6 +178,7 @@ def render_tree_model(model: RootedTreeModel) -> str:
 def parse_assignment(text: str, k: int) -> KAssignment:
     """n lines ``v a b``."""
     entries = {}
+    n = 0  # lines read; a repeated vertex leaves fewer entries
     for ln in (raw.strip() for raw in text.splitlines()):
         if not ln:
             continue
@@ -184,7 +186,7 @@ def parse_assignment(text: str, k: int) -> KAssignment:
         if len(parts) != 3:
             raise ValueError(f"malformed assignment line: {ln!r}")
         entries[int(parts[0])] = (int(parts[1]), int(parts[2]))
-    n = len(entries)
+        n += 1
     if sorted(entries) != list(range(n)):
         raise ValueError("assignment must list each vertex 0..n-1 exactly once")
     return KAssignment(k, tuple(entries[v] for v in range(n)))

@@ -355,6 +355,25 @@ def test_verify_out_of_range_plan_exit_2(tmp_path, check, params, workers):
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse plan")
 
 
+# each file lists a vertex twice; keeping the last line would solve a
+# different instance
+@pytest.mark.parametrize("problem, cls, model, assignment", [
+    ("weak", "interval", "0 1 2\n0 5 6\n1 1 2\n", None),
+    ("weak", "trivially-perfect", "0 -1\n1 0\n1 -1\n", None),
+    ("weakL", "trivially-perfect", "0 -1\n1 0\n", "0 0 1\n0 0 2\n1 0 1\n"),
+])
+def test_repeated_vertex_line_exit_2(tmp_path, problem, cls, model, assignment):
+    (tmp_path / "model").write_text(model)
+    argv = ["solve", "--problem", problem, "--k", "2", "--class", cls,
+            "--model", str(tmp_path / "model")]
+    if assignment is not None:
+        (tmp_path / "L.assign").write_text(assignment)
+        argv += ["--assignment", str(tmp_path / "L.assign")]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exactly once" in err
+
+
 @pytest.mark.parametrize("problem", ["rainbow", "weak", "kdom"])
 def test_cograph_class_refuses_spider_model(tmp_path, problem):
     (tmp_path / "sp.p4tree").write_text("(U (S thin (0 1) (2 3)) 4)\n")

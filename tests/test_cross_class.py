@@ -29,7 +29,13 @@ from rainbowdom.interval import (
 )
 from rainbowdom.p4sparse import recognize_p4sparse
 from rainbowdom.permutation import diagram_to_graph, rainbow2_permutation, weak2_permutation
-from rainbowdom.semantics import is_rainbow, is_weak_k, rainbow_cost, weight_cost
+from rainbowdom.semantics import (
+    check_witness,
+    is_rainbow,
+    is_weak_k,
+    rainbow_cost,
+    weight_cost,
+)
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     gamma_wk_tp,
@@ -77,7 +83,7 @@ def assert_valid(g, w, value, check, cost):
     assert cost(w) == value
 
 
-@pytest.mark.parametrize("n", [50, 300, 1000])
+@pytest.mark.parametrize("n", [50, 300, 1000, 10000])
 def test_interval_sweeps_match_trivially_perfect(n):
     for model in tp_models(n):
         ivs = nested_intervals(model)
@@ -85,12 +91,13 @@ def test_interval_sweeps_match_trivially_perfect(n):
         if n <= 300:
             assert g.edges == model.derived_graph().edges
         arr = build_arrangement(ivs)
+        want = gamma_wk_tp(model, 2)[0]
         value, w = weak2_interval(arr)
-        assert value == gamma_wk_tp(model, 2)[0]
-        assert_valid(g, w, value, is_weak_k, weight_cost)
+        assert value == want
+        assert check_witness("weak", g, value, w) is None
         value, f = rainbow2_interval(arr)
-        assert value == gamma_wk_tp(model, 2)[0]
-        assert_valid(g, f, value, is_rainbow, rainbow_cost)
+        assert value == want
+        assert check_witness("rainbow", g, value, f) is None
 
 
 def separable_permutation(t):

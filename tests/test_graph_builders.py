@@ -138,6 +138,32 @@ def test_interval_graph_and_arrangement(m):
     assert_same_graph(interval_graph(m), m.n, clique_edges)
 
 
+def maximal_active_sets(m: IntervalModel) -> list:
+    """The arrangement by definition: the active set at each distinct right
+    end, in order, less those inside another and repeats."""
+    active = [frozenset(v for v, (lo, hi) in enumerate(m.intervals) if lo <= p <= hi)
+              for p in sorted({hi for _lo, hi in m.intervals})]
+    out = []
+    for K in active:
+        if not any(K < K2 for K2 in active) and K not in out:
+            out.append(K)
+    return out
+
+
+# few coordinates, so that touching ends, points, repeats and nesting are common
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=12))
+def test_arrangement_is_the_maximal_active_sets(spans):
+    m = IntervalModel(tuple((lo, lo + length) for lo, length in spans))
+    want = maximal_active_sets(m)
+    arr = build_arrangement(m)
+    assert arr.t == len(want) and arr.cliques == tuple(want)
+    for v in range(m.n):
+        assert arr.first[v] <= arr.last[v]
+        assert [i for i, K in enumerate(want) if v in K] == list(
+            range(arr.first[v], arr.last[v] + 1))
+
+
 @SETTINGS
 @given(st.permutations(range(12)), st.integers(0, 12))
 def test_diagram_to_graph(perm, n):

@@ -180,3 +180,18 @@ def test_state_count_polynomial_in_cliques():
         assert LAST_SWEEP_STATS["layers"] == t + 1
         rainbow2_interval(arr)
         assert LAST_SWEEP_STATS["max_states"] <= (t + 1) ** 5
+
+
+@pytest.mark.parametrize("solve", [weak2_interval, rainbow2_interval])
+def test_dense_arrangement_stays_small(solve):
+    # long intervals overlap by the hundred; without dropping dominated
+    # states a layer held thousands
+    from rainbowdom.interval import LAST_SWEEP_STATS
+
+    rng = random.Random(500)
+    spans = []
+    for _ in range(500):
+        lo = rng.randrange(5000)
+        spans.append((lo, lo + rng.randint(1, 2000)))
+    assert solve(build_arrangement(IntervalModel(tuple(spans))))[0] == 6
+    assert LAST_SWEEP_STATS["max_states"] <= 50
