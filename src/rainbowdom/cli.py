@@ -56,6 +56,14 @@ def _read(path: str) -> str:
         _fail(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
+
+
 def _oracle_cap() -> int:
     try:
         return _oracle.vertex_cap()
@@ -173,11 +181,10 @@ def cmd_solve(args) -> int:
     fault = check_witness(problem, g, value, witness, j, L)
     if fault is not None:
         raise AssertionError(f"internal error: {fault}")
-    print(value)
     if args.witness:
-        with open(args.witness, "w") as fh:
-            fh.write(_witness_json(problem, k, value, witness) + "\n")
+        _write(args.witness, _witness_json(problem, k, value, witness) + "\n")
         print(f"witness written to {args.witness}", file=sys.stderr)
+    print(value)
     return 0
 
 
@@ -208,13 +215,12 @@ def cmd_verify(args) -> int:
         report = run_plan(plan, workers=args.workers)
     except KeyError as exc:
         _fail(f"plan references an unknown check: {exc}")
-    print(report.summary(), file=sys.stderr)
     doc = report.to_json(include_timing=args.timing)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+        _write(args.out, doc + "\n")
     else:
         print(doc)
+    print(report.summary(), file=sys.stderr)
     return 0 if report.all_passed else 1
 
 
@@ -228,16 +234,14 @@ def cmd_generate(args) -> int:
     except (ValueError, IndexError) as exc:
         _fail(f"bad generator parameters: {exc}")
     out = args.out or family
-    with open(out + ".graph", "w") as fh:
-        fh.write(render_graph(g))
+    _write(out + ".graph", render_graph(g))
     written = [out + ".graph"]
     if model is not None:
         from .gadgets import SplitPartition
         from .generators import BipartitePartition
 
         if isinstance(model, Cotree):
-            with open(out + ".cotree", "w") as fh:
-                fh.write(model.to_text() + "\n")
+            _write(out + ".cotree", model.to_text() + "\n")
             written.append(out + ".cotree")
         elif isinstance(model, SpiderPartition):
             b = CotreeBuilder()
@@ -247,16 +251,13 @@ def cmd_generate(args) -> int:
                 for v in model.head[1:]:
                     head_node = b.node("U", head_node, b.leaf(v))
             node = b.spider_node(model, head_node)
-            with open(out + ".p4tree", "w") as fh:
-                fh.write(b.tree(node).to_text() + "\n")
+            _write(out + ".p4tree", b.tree(node).to_text() + "\n")
             written.append(out + ".p4tree")
         elif isinstance(model, SplitPartition):
-            with open(out + ".split", "w") as fh:
-                fh.write(render_split_partition(model))
+            _write(out + ".split", render_split_partition(model))
             written.append(out + ".split")
         elif isinstance(model, BipartitePartition):
-            with open(out + ".sides", "w") as fh:
-                fh.write(f"{len(model.side1)} {len(model.side2)}\n")
+            _write(out + ".sides", f"{len(model.side1)} {len(model.side2)}\n")
             written.append(out + ".sides")
     print("wrote " + " ".join(written), file=sys.stderr)
     return 0
@@ -267,8 +268,7 @@ def cmd_convert(args) -> int:
     g = REGISTRY[cls].to_graph(_read_model(cls, args.model))
     text = render_graph(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

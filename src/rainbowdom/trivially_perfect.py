@@ -1,21 +1,19 @@
 """Rooted tree models and linear-time weight-domination solvers for graphs
 whose adjacency is the ancestor relation of a rooted forest.
 
-The weak {k}-L solver first applies the instance reduction: vertices with a
-positive weight floor are fixed at that floor and removed, vertices whose
-neighborhood already collects enough fixed weight are removed as satisfied,
-and the remaining demand levels are rewritten.  The reduced problem is then
-solved by a bottom-up dynamic program: for each subtree and each amount of
-help h in {0..k} arriving from the vertices above it, the table holds the
-cheapest internal weight; any total above that minimum and below capacity
-is realizable by padding, which is what a parent buys when its own demand
-exceeds the children's combined minima.  Every vertex of a subtree is a
+Weak {k}-L-domination is one bottom-up dynamic program over the forest,
+with each vertex's floor a and demand b read as given: for each subtree and
+each amount of help h in {0..k} arriving from the vertices above it, the
+table holds the cheapest internal weight.  A vertex takes weight zero only
+when its floor is zero and its neighbours carry its demand, and otherwise a
+weight of at least max(a, 1).  Feasible subtree totals form an interval up
+to k times the subtree size, so any total between the minimum and that
+capacity is realizable by padding, which is what a parent buys when its own
+demand exceeds the children's combined minima.  Every vertex of a subtree is a
 descendant of the whole path above it, so a subtree's help to each ancestor
-equals its internal total and a single scalar per side suffices.
-
-This DP replaces a one-scalar elimination schedule that is order-sensitive
-on trees with several branch vertices (see the regression test with two
-asymmetric branches); values are certified against the brute-force oracle.
+equals its internal total and a single scalar per side suffices.  Weak
+{k}-domination is the all-(0, k) assignment; values are certified against
+the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -32,13 +30,11 @@ from .oracle import InfeasibleInstance
 __all__ = [
     "RootedTreeModel",
     "TPRefusal",
-    "ReducedInstance",
     "parse_tree_model",
     "render_tree_model",
     "parse_assignment",
     "render_assignment",
     "build_tree_model",
-    "reduce_instance",
     "gamma_wkL",
     "gamma_wk_tp",
     "jk_domination_tp",
@@ -244,104 +240,6 @@ def build_tree_model(g: Graph):
     return RootedTreeModel(parents)
 
 
-# --- instance reduction ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedInstance:
-    model: RootedTreeModel
-    labels: KAssignment
-    offset: int
-    kept: tuple[int, ...]              # reduced index -> original vertex
-    removed_weights: dict              # original vertex -> fixed weight
-
-
-def _closed_a_sums(model: RootedTreeModel, a: list[int]) -> list[int]:
-    """For each x: the sum of floors over ancestors, x itself and descendants."""
-    n = model.n
-    anc = [0] * n
-    for v in model.order:
-        p = model.parents[v]
-        anc[v] = 0 if p == -1 else anc[p] + a[p]
-    desc = [0] * n
-    for v in reversed(model.order):
-        p = model.parents[v]
-        if p != -1:
-            desc[p] += desc[v] + a[v]
-    return [anc[v] + a[v] + desc[v] for v in range(n)]
-
-
-def reduce_instance(model: RootedTreeModel, L: KAssignment) -> ReducedInstance:
-    """Fix positive floors, drop already-satisfied vertices, rewrite demands.
-
-    Removed vertices keep weight a_x (zero for the satisfied ones); the
-    demand of every survivor drops by the fixed weight its neighborhood
-    already collects, and each component root additionally absorbs the
-    component's total fixed weight.
-    """
-    n = model.n
-    if len(L.pairs) != n:
-        raise ValueError("assignment does not match the model")
-    k = L.k
-    a = [p[0] for p in L.pairs]
-    b = [p[1] for p in L.pairs]
-    nsum = _closed_a_sums(model, a)
-    root_set = set(model.roots)
-
-    removed_weights: dict[int, int] = {}
-    kept: list[int] = []
-    for x in range(n):
-        if x in root_set:
-            kept.append(x)
-        elif a[x] > 0:
-            removed_weights[x] = a[x]
-        elif nsum[x] >= b[x]:
-            removed_weights[x] = 0
-        else:
-            kept.append(x)
-
-    new_index = {orig: i for i, orig in enumerate(kept)}
-    new_parents = []
-    for orig in kept:
-        p = model.parents[orig]
-        while p != -1 and p not in new_index:
-            p = model.parents[p]
-        new_parents.append(-1 if p == -1 else new_index[p])
-
-    # per-component sums of non-root floors, for the root rewrite
-    comp_of = {}
-    for r in model.roots:
-        comp_of[r] = r
-    for v in model.order:
-        p = model.parents[v]
-        if p != -1:
-            comp_of[v] = comp_of[p]
-    comp_sum: dict[int, int] = {r: 0 for r in model.roots}
-    offset = 0
-    for x in range(n):
-        if x not in root_set:
-            comp_sum[comp_of[x]] += a[x]
-            offset += a[x]
-
-    # Demands drop only by the weight that is fixed AND removed.  The root's
-    # floor also makes removal tests pass (every solution carries it), but it
-    # stays inside the reduced instance, so it must not be credited here.
-    new_pairs = []
-    for orig in kept:
-        if orig in root_set:
-            new_pairs.append((a[orig], max(0, b[orig] - comp_sum[orig])))
-        else:
-            credit = nsum[orig] - a[comp_of[orig]]
-            new_pairs.append((0, max(0, b[orig] - credit)))
-    return ReducedInstance(
-        RootedTreeModel(new_parents),
-        KAssignment(k, tuple(new_pairs)),
-        offset,
-        tuple(kept),
-        removed_weights,
-    )
-
-
 # --- the subtree-menu dynamic program ----------------------------------------
 
 
@@ -447,20 +345,11 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
 
 def gamma_wkL(model: RootedTreeModel, L: KAssignment):
     """Exact weak {k}-L-domination number of the modeled graph, with a
-    validating witness.  Reduction first, then the subtree DP."""
-    if len(L.pairs) == model.n and all(a == 0 < b for a, b in L.pairs):
-        # nothing is fixed and nothing starts out satisfied: the reduction
-        # is the identity, so solve the instance as given
-        value, weights = _solve_tree_weakL(model, L.pairs, L.k)
-        return value, WeightFunction(L.k, tuple(weights))
-    red = reduce_instance(model, L)
-    value_red, weights_red = _solve_tree_weakL(red.model, red.labels.pairs, L.k)
-    weights = [0] * model.n
-    for orig, w in red.removed_weights.items():
-        weights[orig] = w
-    for new_id, orig in enumerate(red.kept):
-        weights[orig] = weights_red[new_id]
-    return value_red + red.offset, WeightFunction(L.k, tuple(weights))
+    validating witness, from the subtree DP."""
+    if len(L.pairs) != model.n:
+        raise ValueError("assignment does not match the model")
+    value, weights = _solve_tree_weakL(model, L.pairs, L.k)
+    return value, WeightFunction(L.k, tuple(weights))
 
 
 def gamma_wk_tp(model: RootedTreeModel, k: int):

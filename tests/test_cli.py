@@ -355,6 +355,26 @@ def test_verify_out_of_range_plan_exit_2(tmp_path, check, params, workers):
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse plan")
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "weak", "--k", "2", "--class", "oracle",
+     "--graph", "{p3}", "--witness", "{bad}/w.json"),
+    ("verify", "--plan", "{plan}", "--out", "{bad}/report.json"),
+    ("generate", "cycle", "4", "--out", "{bad}/c4"),
+    ("convert", "--kind", "tree", "{tree}", "--out", "{bad}/t.graph"),
+])
+def test_unwritable_output_exit_2(tmp_path, argv):
+    (tmp_path / "p3.graph").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "t.tree").write_text("0 -1\n1 0\n")
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"seed": 1, "checks": [{"name": "reference_constants", "params": {}}]}
+    ))
+    paths = {"p3": tmp_path / "p3.graph", "tree": tmp_path / "t.tree",
+             "plan": tmp_path / "plan.json", "bad": tmp_path / "missing"}
+    code, out, err = run_cli(*(a.format(**paths) for a in argv))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+
 # each file lists a vertex twice; keeping the last line would solve a
 # different instance
 @pytest.mark.parametrize("problem, cls, model, assignment", [

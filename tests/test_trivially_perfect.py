@@ -27,11 +27,9 @@ from rainbowdom.trivially_perfect import (
     parse_assignment,
     parse_tree_model,
     random_tree_model,
-    reduce_instance,
     render_assignment,
     render_tree_model,
 )
-from rainbowdom.trivially_perfect import _solve_tree_weakL
 from rainbowdom.cograph import cotree_to_graph, rainbow_cograph
 from rainbowdom.harness import enumerate_rooted_forests
 
@@ -97,51 +95,6 @@ def test_build_roundtrip_on_random_models():
         assert m2.derived_graph() == g
 
 
-def test_reduce_identity_when_no_floors():
-    m = random_tree_model(6, 1)
-    L = KAssignment(2, tuple((0, 2) for _ in range(6)))
-    red = reduce_instance(m, L)
-    assert red.offset == 0
-    assert red.kept == tuple(range(6))
-    assert red.labels.pairs == L.pairs
-
-
-def test_reduce_star_with_fixed_leaf():
-    # center root, three leaves; one leaf fixed at 2
-    m = RootedTreeModel((-1, 0, 0, 0))
-    k = 3
-    L = KAssignment(k, ((0, 3), (2, 3), (0, 3), (0, 3)))
-    red = reduce_instance(m, L)
-    assert red.offset == 2
-    assert 1 not in red.kept
-    assert red.removed_weights == {1: 2}
-    # sibling leaves are not adjacent to the fixed leaf: no credit for them
-    idx2 = red.kept.index(2)
-    assert red.labels.pairs[idx2] == (0, 3)
-    # the root sees every vertex, so its demand drops by the removed total
-    idx0 = red.kept.index(0)
-    assert red.labels.pairs[idx0] == (0, 1)
-    # the identity holds computationally
-    g = m.derived_graph()
-    whole = exact_weight_variant(g, "weak_kL", k, assignment=L).value
-    reduced = exact_weight_variant(
-        red.model.derived_graph(), "weak_kL", k, assignment=red.labels
-    ).value
-    assert whole == reduced + red.offset
-
-
-def test_reduce_drops_satisfied_leaf():
-    # a leaf whose demand is already covered by an ancestor's fixed floor
-    # disappears with weight zero
-    m = RootedTreeModel((-1, 0, 1))
-    L = KAssignment(2, ((0, 0), (2, 0), (0, 2)))
-    red = reduce_instance(m, L)
-    assert red.removed_weights[1] == 2
-    assert red.removed_weights[2] == 0
-    assert red.offset == 2
-    assert red.kept == (0,)
-
-
 def test_two_branch_schedule_counterexample():
     """Two asymmetric branches where any one-scalar elimination that
     processes the deeper branch first overshoots; the subtree DP and the
@@ -167,38 +120,35 @@ def test_gamma_wkL_zero_labels():
     assert val == 0 and weight_cost(wit) == 0
 
 
+def test_gamma_wkL_rejects_assignment_of_wrong_length():
+    m = RootedTreeModel((-1, 0, 0))
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            gamma_wkL(m, KAssignment.uniform(2, n))
+
+
 def test_gamma_wkL_matches_oracle_randomized():
-    for seed in range(120):
+    """Single-root trees, then forests whose parents are drawn from -1 and
+    the earlier vertices, with a positive floor on every root."""
+    for seed in range(240):
         rng = random.Random(seed)
         n = rng.randint(1, 8)
-        m = random_tree_model(n, seed)
+        if seed < 120:
+            m = random_tree_model(n, seed)
+        else:
+            m = RootedTreeModel([rng.randrange(-1, v) for v in range(n)])
         g = m.derived_graph()
         k = rng.randint(1, 3)
-        L = KAssignment(
-            k, tuple((rng.randint(0, k), rng.randint(0, k)) for _ in range(n))
-        )
+        pairs = [(rng.randint(0, k), rng.randint(0, k)) for _ in range(n)]
+        if seed >= 120:
+            for r in m.roots:
+                pairs[r] = (rng.randint(1, k), pairs[r][1])
+        L = KAssignment(k, tuple(pairs))
         val, wit = gamma_wkL(m, L)
         orc = exact_weight_variant(g, "weak_kL", k, assignment=L)
         assert val == orc.value, (m.parents, L.pairs)
         ok, _ = is_weak_kL(g, wit, L)
         assert ok and weight_cost(wit) == val
-        # fixed floors honored away from the roots
-        for x in range(n):
-            if x not in m.roots and L.pairs[x][0] > 0:
-                assert wit.weights[x] == L.pairs[x][0]
-
-
-def test_direct_solver_agrees_with_reduced_pipeline():
-    for seed in range(60):
-        rng = random.Random(1000 + seed)
-        n = rng.randint(1, 8)
-        m = random_tree_model(n, seed)
-        k = rng.randint(1, 3)
-        pairs = tuple((rng.randint(0, k), rng.randint(0, k)) for _ in range(n))
-        # roots keep their floors; the unreduced solver handles any floors
-        val_direct, _ = _solve_tree_weakL(m, pairs, k)
-        val, _ = gamma_wkL(m, KAssignment(k, pairs))
-        assert val == val_direct
 
 
 def test_forest_additivity():
