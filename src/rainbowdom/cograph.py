@@ -17,7 +17,10 @@ all colors, its excluded foot takes a single color).
 cheapest weight vector valid when the outside already contributes q to
 every neighborhood sum; they take trees without spider nodes.
 
-All traversals are iterative so deep trees are safe.
+Every traversal of a built tree is iterative, so deep trees are safe to
+solve.  ``parse_cotree`` is the exception: it recurses once per nesting
+level, so a text nested deeper than the interpreter's recursion limit
+raises RecursionError.
 """
 
 from __future__ import annotations

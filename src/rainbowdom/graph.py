@@ -204,6 +204,26 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, adj=adj)
 
 
+def _vertex_rows(text: str, fields: int, what: str, cover: str) -> list[list[str]]:
+    """The split non-blank lines of a file with one line ``v ...`` per
+    vertex, in vertex order.  Raises ValueError on a line without
+    ``fields`` fields ("malformed <what> line") and, worded by ``cover``,
+    unless the lines name each vertex 0..n-1 exactly once."""
+    rows = {}
+    n = 0  # lines read; a repeated vertex leaves fewer rows
+    for ln in (raw.strip() for raw in text.splitlines()):
+        if not ln:
+            continue
+        parts = ln.split()
+        if len(parts) != fields:
+            raise ValueError(f"malformed {what} line: {ln!r}")
+        rows[int(parts[0])] = parts
+        n += 1
+    if sorted(rows) != list(range(n)):
+        raise ValueError(f"{cover} 0..n-1 exactly once")
+    return [rows[v] for v in range(n)]
+
+
 def render_graph(g: Graph) -> str:
     """Emit the same edge-list format ``parse_graph`` consumes."""
     lines = [f"{g.n} {g.m}"]

@@ -14,12 +14,13 @@ Every class solver is reached through the (class, problem) table of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Graph
 from .semantics import KAssignment, check_witness
@@ -52,6 +53,7 @@ __all__ = [
     "enumerate_interval_models",
     "graphs_isomorphic",
     "CHECKS",
+    "DECLARATIONS",
 ]
 
 
@@ -373,49 +375,64 @@ class CheckResult:
     seconds: float
 
 
+class Declaration(NamedTuple):
+    """What a check states about itself besides its body.
+
+    ``cost`` is a fixed weight in milliseconds for dealing checks to
+    workers: the median of five `verify --timing` runs of the benchmark
+    plan (perfbench/certify_plan.json, seed 101, one worker; perf_gates
+    from one run of its full-plan parameters) on a 2-core host, Python
+    3.11.  Only the ratios matter, and they only balance the deal: a report
+    does not depend on them.  ``params`` maps each parameter to (default,
+    least value); a list default makes a list parameter, which a plan must
+    give as a non-empty list with every member at least the least value."""
+
+    cost: int
+    params: dict
+
+
+CHECKS: dict[str, Callable] = {}
+DECLARATIONS: dict[str, Declaration] = {}
+
+
+def _declare(cost: int, **params):
+    """Register the decorated body as the check ``<name>`` of its function
+    name ``check_<name>``, declared by ``cost`` and ``params`` (see
+    ``Declaration``).  The body takes ``rng`` and the parameters as
+    keywords and returns (passed, detail, counterexample); the registered
+    check takes (params, rng), fills in the defaults of parameters the
+    params leave out, times the body and returns its ``CheckResult``."""
+    defaults = {key: default for key, (default, _least) in params.items()}
+
+    def register(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check(given: dict, rng) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail, counterexample = body(rng, **{**defaults, **given})
+            return CheckResult(name, passed, detail, counterexample,
+                               time.perf_counter() - t0)
+
+        CHECKS[name] = check
+        DECLARATIONS[name] = Declaration(cost, params)
+        return check
+
+    return register
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_SIZE = (False, 1)
-_COUNT = (False, 0)
-_KS = (True, 1)
-
-# check -> parameter -> (is a list, least value); a list parameter must be
-# non-empty with every member at least the least value
-_PARAM_RULES = {
-    "oracle_cross": {"max_n": _SIZE, "max_k": _SIZE},
-    "global_invariants": {"count": _COUNT, "max_n": _SIZE, "ks": _KS},
-    "cograph_cert": {"max_leaves": _SIZE, "ks": _KS},
-    "p4sparse_cert": {"max_n": _SIZE, "ks": _KS, "feet": (True, 2), "heads": (True, 0)},
-    "tp_cert": {"max_n": _SIZE, "ks": _KS, "assignments": _COUNT, "jk_max": _SIZE},
-    "tp_rainbow_equality": {"max_n": _SIZE, "ks": _KS},
-    "interval_cert": {"max_n": _SIZE},
-    "permutation_cert": {"max_n": _SIZE},
-    "permutation_weak_gap": {"max_n": _SIZE, "randoms": _COUNT, "rand_n": _SIZE},
-    "bipartite_cert": {"max_side": _SIZE, "max_k": _SIZE, "randoms": _COUNT,
-                       "rand_k": _SIZE},
-    "gadget_cert": {"count": _COUNT, "max_total": (False, 2), "max_k": _SIZE,
-                    "product_cap": _SIZE},
-    "perf_gates": {
-        **{f"{c}_n": _SIZE for c in ("tp", "interval", "permutation")},
-        "cograph_leaves": _SIZE,
-        **{f"{c}_budget": _COUNT for c in ("cograph", "tp", "interval", "permutation")},
-    },
-}
-
-
 def _check_param(name: str, key: str, value) -> None:
-    """Raise ValueError unless the value keeps the check's rule for the
-    parameter; without a rule, any integer or list of integers will do."""
-    rule = _PARAM_RULES.get(name, {}).get(key)
-    if rule is None:
-        if not (_is_int(value) or isinstance(value, list) and all(map(_is_int, value))):
-            raise ValueError(
-                f"{name} parameter {key!r} must be an integer or a list of integers"
-            )
-        return
-    is_list, least = rule
+    """Raise ValueError unless ``key`` is a declared parameter of the check
+    and the value is of its kind and at least its least value."""
+    declared = DECLARATIONS[name].params
+    if key not in declared:
+        raise ValueError(f"{name} has no parameter {key!r}")
+    default, least = declared[key]
+    is_list = isinstance(default, list)
     values = value if is_list and isinstance(value, list) else [value]
     if is_list != isinstance(value, list) or not values or not all(
         _is_int(v) and v >= least for v in values
@@ -444,9 +461,9 @@ class CertificationPlan:
     @staticmethod
     def from_json(text: str) -> "CertificationPlan":
         """Parse ``{"seed": int, "checks": [{"name": str, "params": {...}}]}``
-        where every parameter is an integer or a list of integers within
-        its check's range; raises ValueError on anything else, before any
-        check runs."""
+        where every name is a declared check and every parameter one of its
+        declared parameters, within its range; raises ValueError on
+        anything else, before any check runs."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a plan must be a JSON object")
@@ -461,6 +478,8 @@ class CertificationPlan:
             name, params = c.get("name"), c.get("params", {})
             if not isinstance(name, str):
                 raise ValueError("every check needs a string name")
+            if name not in DECLARATIONS:
+                raise ValueError(f"unknown check {name!r}")
             if not isinstance(params, dict):
                 raise ValueError(f"params of {name} must be an object")
             for key, value in params.items():
@@ -511,10 +530,6 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def _result(name, t0, passed, detail, counterexample=None) -> CheckResult:
-    return CheckResult(name, passed, detail, counterexample, time.perf_counter() - t0)
-
-
 # --- the checks ----------------------------------------------------------------
 
 
@@ -550,36 +565,32 @@ def _compare(cls: str, problem: str, g: Graph, model, k: int, j=None, L=None,
     return value, witness, check_witness(problem, g, value, witness, j, L)
 
 
-def check_reference_constants(params: dict, rng) -> CheckResult:
+@_declare(cost=57)
+def check_reference_constants(rng):
     """Two externally known value pairs: the 6-cycle by oracle, the
     12-vertex gap cograph by oracle and by the cograph table entries on
     its recognized and its generated cotree."""
-    t0 = time.perf_counter()
     c6, _ = generate("cycle", 6)
     gap, gap_tree = generate("rainbow_gap")
     for g, k, weak_expect, rainbow_expect in ((c6, 2, 3, 4), (gap, 3, 4, 6)):
         if _oracle_value("weak", g, k) != weak_expect:
-            return _result("reference_constants", t0, False, f"weak oracle k={k}")
+            return False, f"weak oracle k={k}", None
         if _oracle_value("rainbow", g, k) != rainbow_expect:
-            return _result("reference_constants", t0, False, f"rainbow oracle k={k}")
+            return False, f"rainbow oracle k={k}", None
     tree = REGISTRY["cograph"].recognize(gap, None)
     if isinstance(tree, str):
-        return _result("reference_constants", t0, False, "gap graph not recognized")
+        return False, "gap graph not recognized", None
     for problem, expect in (("weak", 4), ("rainbow", 6)):
         for model in (tree, gap_tree):
             _v, _w, fault = _compare("cograph", problem, gap, model, 3, expect=expect)
             if fault:
-                return _result(
-                    "reference_constants", t0, False, f"{problem} DP on gap graph", fault
-                )
-    return _result("reference_constants", t0, True, "both value pairs reproduced")
+                return False, f"{problem} DP on gap graph", fault
+    return True, "both value pairs reproduced", None
 
 
-def check_oracle_cross(params: dict, rng) -> CheckResult:
+@_declare(cost=368, max_n=(5, 1), max_k=(2, 1))
+def check_oracle_cross(rng, max_n, max_k):
     """Product-route rainbow oracle versus direct label enumeration."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 5)
-    max_k = params.get("max_k", 2)
     count = 0
     for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
@@ -589,13 +600,12 @@ def check_oracle_cross(params: dict, rng) -> CheckResult:
                 a = exact_rainbow(g, k).value
                 b = exact_rainbow_direct(g, k).value
                 if a != b:
-                    return _result(
-                        "oracle_cross", t0, False,
-                        f"disagreement n={n} k={k}",
+                    return (
+                        False, f"disagreement n={n} k={k}",
                         f"edges={sorted(g.edges)} product={a} direct={b}",
                     )
                 count += 1
-    return _result("oracle_cross", t0, True, f"{count} instances agree")
+    return True, f"{count} instances agree", None
 
 
 def sweep_global_invariants(corpus, ks, cap=None):
@@ -622,11 +632,9 @@ def sweep_global_invariants(corpus, ks, cap=None):
     return True, None
 
 
-def check_global_invariants(params: dict, rng) -> CheckResult:
-    t0 = time.perf_counter()
-    count = params.get("count", 100)
-    max_n = params.get("max_n", 8)
-    ks = tuple(params.get("ks", (1, 2, 3)))
+@_declare(cost=79, count=(100, 0), max_n=(8, 1), ks=([1, 2, 3], 1))
+def check_global_invariants(rng, count, max_n, ks):
+    """``sweep_global_invariants`` over seeded random graphs."""
     corpus = []
     for i in range(count):
         n = rng.randint(1, max_n)
@@ -634,18 +642,13 @@ def check_global_invariants(params: dict, rng) -> CheckResult:
         g, _ = generate("random", n, p, seed=rng.randrange(1 << 30))
         corpus.append(g)
     ok, detail = sweep_global_invariants(corpus, ks)
-    return _result(
-        "global_invariants", t0, ok,
-        detail or f"{len(corpus)} graphs x k in {list(ks)}",
-    )
+    return ok, detail or f"{len(corpus)} graphs x k in {list(ks)}", None
 
 
-def check_cograph_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=633, max_leaves=(8, 1), ks=([1, 2, 3], 1))
+def check_cograph_cert(rng, max_leaves, ks):
     """Every cograph from exhaustive cotree shapes: each problem of the
     cograph table entry against the oracle, and weak never above rainbow."""
-    t0 = time.perf_counter()
-    max_leaves = params.get("max_leaves", 8)
-    ks = tuple(params.get("ks", (1, 2, 3)))
     count = 0
     for tree, g in enumerate_cographs(max_leaves):
         for k in ks:
@@ -653,27 +656,21 @@ def check_cograph_cert(params: dict, rng) -> CheckResult:
             for problem in REGISTRY["cograph"].solvers:
                 values[problem], _w, fault = _compare("cograph", problem, g, tree, k)
                 if fault:
-                    return _result(
-                        "cograph_cert", t0, False, f"{problem} mismatch k={k}",
+                    return (
+                        False, f"{problem} mismatch k={k}",
                         f"cotree={tree.to_text()} {fault}",
                     )
             if values["weak"] > values["rainbow"]:
-                return _result(
-                    "cograph_cert", t0, False, "weak exceeds rainbow",
-                    tree.to_text(),
-                )
+                return False, "weak exceeds rainbow", tree.to_text()
             count += 1
-    return _result("cograph_cert", t0, True, f"{count} (cograph, k) pairs")
+    return True, f"{count} (cograph, k) pairs", None
 
 
-def check_p4sparse_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=100, max_n=(8, 1), ks=([1, 2, 3], 1), feet=([2, 3, 4, 5], 2),
+        heads=([0, 1, 2, 3], 0))
+def check_p4sparse_cert(rng, max_n, ks, feet, heads):
     """The spider rule of the rainbow DP over a grid of recognized thin and
     thick spiders, plus full trees, vs oracle."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 8)
-    ks = tuple(params.get("ks", (1, 2, 3)))
-    feet = tuple(params.get("feet", (2, 3, 4, 5)))
-    heads = tuple(params.get("heads", (0, 1, 2, 3)))
     for s in feet:
         for h in heads:
             for kind in ("thin", "thick"):
@@ -684,37 +681,28 @@ def check_p4sparse_cert(params: dict, rng) -> CheckResult:
                 for k in ks:
                     _v, _w, fault = _compare("p4sparse", "rainbow", spider, tree, k)
                     if fault:
-                        return _result(
-                            "p4sparse_cert", t0, False,
-                            f"{kind} spider s={s} head={h} k={k}", fault,
-                        )
+                        return False, f"{kind} spider s={s} head={h} k={k}", fault
     count = 0
     for tree, g in enumerate_p4sparse_trees(max_n):
         for k in ks:
             _v, _w, fault = _compare("p4sparse", "rainbow", g, tree, k)
             if fault:
-                return _result(
-                    "p4sparse_cert", t0, False, f"tree mismatch k={k}",
-                    f"tree={tree.to_text()} {fault}",
-                )
+                return False, f"tree mismatch k={k}", f"tree={tree.to_text()} {fault}"
             count += 1
-    return _result("p4sparse_cert", t0, True, f"grid + {count} (tree, k) pairs")
+    return True, f"grid + {count} (tree, k) pairs", None
 
 
-def check_tp_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=584, max_n=(8, 1), ks=([1, 2, 3], 1), assignments=(100, 0),
+        jk_max=(3, 1))
+def check_tp_cert(rng, max_n, ks, assignments, jk_max):
     """Weak {k}-L on every rooted forest with random assignments, and the
     level rule for (j,k)."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 8)
-    ks = tuple(params.get("ks", (1, 2, 3)))
-    per_graph = params.get("assignments", 100)
-    jk_max = params.get("jk_max", 3)
     models = [(m, m.derived_graph()) for m in enumerate_rooted_forests(max_n)]
     count = 0
     for model, g in models:
         n = model.n
         for k in ks:
-            for _ in range(per_graph):
+            for _ in range(assignments):
                 L = KAssignment(
                     k,
                     tuple(
@@ -723,8 +711,8 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
                 )
                 _v, _w, fault = _compare("trivially-perfect", "weakL", g, model, k, L=L)
                 if fault:
-                    return _result(
-                        "tp_cert", t0, False, f"weak-L mismatch k={k}",
+                    return (
+                        False, f"weak-L mismatch k={k}",
                         f"parents={model.parents} pairs={L.pairs} {fault}",
                     )
                 count += 1
@@ -734,24 +722,19 @@ def check_tp_cert(params: dict, rng) -> CheckResult:
             for j in range(1, k + 1):
                 _v, _w, fault = _compare("trivially-perfect", "jkdom", g, model, k, j=j)
                 if fault:
-                    return _result(
-                        "tp_cert", t0, False, f"(j,k) mismatch j={j} k={k}",
+                    return (
+                        False, f"(j,k) mismatch j={j} k={k}",
                         f"parents={model.parents} {fault}",
                     )
                 jk_count += 1
-    return _result(
-        "tp_cert", t0, True,
-        f"{count} weak-L instances + {jk_count} (j,k) instances",
-    )
+    return True, f"{count} weak-L instances + {jk_count} (j,k) instances", None
 
 
-def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
+@_declare(cost=125, max_n=(8, 1), ks=([1, 2, 3], 1))
+def check_tp_rainbow_equality(rng, max_n, ks):
     """The rainbow number equals the weak number on every forest model: the
     table's rainbow entry against the rainbow oracle, then its value
     against the table's weak entry."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 8)
-    ks = tuple(params.get("ks", (1, 2, 3)))
     weak = REGISTRY["trivially-perfect"].solvers["weak"]
     count = 0
     for model in enumerate_rooted_forests(max_n):
@@ -763,47 +746,36 @@ def check_tp_rainbow_equality(params: dict, rng) -> CheckResult:
                 if weak_value != value:
                     fault = f"rainbow={value} weak={weak_value}"
             if fault:
-                return _result(
-                    "tp_rainbow_equality", t0, False, f"mismatch k={k}",
-                    f"parents={model.parents} {fault}",
-                )
+                return False, f"mismatch k={k}", f"parents={model.parents} {fault}"
             count += 1
-    return _result("tp_rainbow_equality", t0, True, f"{count} instances")
+    return True, f"{count} instances", None
 
 
-def check_interval_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=325, max_n=(8, 1))
+def check_interval_cert(rng, max_n):
     """Sweep DP vs oracle on every interval graph class, re-verifying the
     weak/rainbow equality on the way."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 8)
     count = 0
     for g, model in enumerate_interval_models(max_n):
         v, _w, fault = _compare("interval", "weak", g, model, 2)
         if fault:
-            return _result(
-                "interval_cert", t0, False, "weak mismatch",
-                f"model={model.intervals} {fault}",
-            )
+            return False, "weak mismatch", f"model={model.intervals} {fault}"
         rv, _w, fault = _compare("interval", "rainbow", g, model, 2)
         if fault:
-            return _result(
-                "interval_cert", t0, False, "rainbow mismatch",
-                f"model={model.intervals} {fault}",
-            )
+            return False, "rainbow mismatch", f"model={model.intervals} {fault}"
         if rv != v:
-            return _result(
-                "interval_cert", t0, False, "rainbow/weak equality fails",
+            return (
+                False, "rainbow/weak equality fails",
                 f"model={model.intervals} weak={v} rainbow={rv}",
             )
         count += 1
-    return _result("interval_cert", t0, True, f"{count} interval classes")
+    return True, f"{count} interval classes", None
 
 
-def check_permutation_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=754, max_n=(8, 1))
+def check_permutation_cert(rng, max_n):
     """Scanline DP vs oracle on all permutations up to the stated size; the
     oracle runs once per distinct graph."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 8)
     count = 0
     cache: dict = {}
     for n in range(1, max_n + 1):
@@ -814,21 +786,44 @@ def check_permutation_cert(params: dict, rng) -> CheckResult:
                 cache[key] = _oracle_value("rainbow", g, 2)
             _v, _w, fault = _compare("permutation", "rainbow", g, pi, 2, expect=cache[key])
             if fault:
-                return _result(
-                    "permutation_cert", t0, False, f"mismatch n={n}", f"pi={pi} {fault}",
-                )
+                return False, f"mismatch n={n}", f"pi={pi} {fault}"
             count += 1
-    return _result("permutation_cert", t0, True, f"{count} permutations")
+    return True, f"{count} permutations", None
 
 
-def check_bipartite_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=179, max_n=(6, 1), randoms=(100, 0), rand_n=(9, 1))
+def check_permutation_weak_gap(rng, max_n, randoms, rand_n):
+    """Experiment, not an assumption: compare the weak {2} and 2-rainbow
+    numbers on permutation graphs and report whether they ever differ."""
+    entry = REGISTRY["permutation"]
+    exhaustive = (
+        pi for n in range(1, max_n + 1) for pi in itertools.permutations(range(n))
+    )
+    sampled = (entry.sample(rand_n, rng) for _ in range(randoms))
+    gaps = []
+    checked = 0
+    for pi in itertools.chain(exhaustive, sampled):
+        wv, _ = entry.solvers["weak"](pi, 2, None, None)
+        rv, _ = entry.solvers["rainbow"](pi, 2, None, None)
+        if wv > rv:
+            return False, "weak exceeded rainbow", f"pi={pi}"
+        if wv != rv:
+            gaps.append(pi)
+        checked += 1
+    if gaps:
+        detail = (
+            f"equality FAILS on this class: {len(gaps)}/{checked} instances "
+            f"differ, first pi={gaps[0]}"
+        )
+    else:
+        detail = f"values equal on all {checked} instances tried"
+    return True, detail, None
+
+
+@_declare(cost=230, max_side=(4, 1), max_k=(2, 1), randoms=(1000, 0), rand_k=(3, 1))
+def check_bipartite_cert(rng, max_side, max_k, randoms, rand_k):
     """Exhaustive demand vectors for small sides, plus seeded random larger
     demands."""
-    t0 = time.perf_counter()
-    max_side = params.get("max_side", 4)
-    max_k = params.get("max_k", 2)
-    randoms = params.get("randoms", 1000)
-    rand_k = params.get("rand_k", 3)
     exhaustive = (
         ("exhaustive", n1, n2, k, bs)
         for n1 in range(1, max_side + 1)
@@ -853,24 +848,17 @@ def check_bipartite_cert(params: dict, rng) -> CheckResult:
             "complete-bipartite", "weakL", graphs[n1, n2], inst, k, L=L
         )
         if fault:
-            return _result(
-                "bipartite_cert", t0, False, f"{how} mismatch",
-                f"n1={n1} n2={n2} k={k} b={bs} {fault}",
-            )
+            return False, f"{how} mismatch", f"n1={n1} n2={n2} k={k} b={bs} {fault}"
         count += 1
-    return _result("bipartite_cert", t0, True, f"{count} instances")
+    return True, f"{count} instances", None
 
 
-def check_gadget_cert(params: dict, rng) -> CheckResult:
+@_declare(cost=54, count=(200, 0), max_total=(7, 2), max_k=(3, 1), product_cap=(48, 1))
+def check_gadget_cert(rng, count, max_total, max_k, product_cap):
     """Both pendant identities on seeded random split graphs."""
-    t0 = time.perf_counter()
-    count_target = params.get("count", 200)
-    max_total = params.get("max_total", 7)
-    max_k = params.get("max_k", 3)
-    product_cap = params.get("product_cap", 48)
     done = 0
     attempts = 0
-    while done < count_target:
+    while done < count:
         attempts += 1
         c = rng.randint(1, max_total - 1)
         i = rng.randint(0, max_total - c)
@@ -881,8 +869,8 @@ def check_gadget_cert(params: dict, rng) -> CheckResult:
         )
         part = split_partition(g)
         if part is None:
-            return _result(
-                "gadget_cert", t0, False, "split recognizer refused a split graph",
+            return (
+                False, "split recognizer refused a split graph",
                 f"edges={sorted(g.edges)}",
             )
         n_gadget = g.n + len(part.C) * (k - 1)
@@ -890,99 +878,42 @@ def check_gadget_cert(params: dict, rng) -> CheckResult:
             continue  # keep the oracle inside its budget; resample
         rep = verify_gadget_identities(g, part, k, cap=product_cap)
         if not rep.ok:
-            return _result(
-                "gadget_cert", t0, False, "identity fails",
+            return (
+                False, "identity fails",
                 f"edges={sorted(g.edges)} C={sorted(part.C)} k={k} report={rep}",
             )
         done += 1
-        if attempts > 50 * count_target:
-            return _result("gadget_cert", t0, False, "sampling stalled")
-    return _result("gadget_cert", t0, True, f"{done} split graphs")
+        if attempts > 50 * count:
+            return False, "sampling stalled", None
+    return True, f"{done} split graphs", None
 
 
-def check_permutation_weak_gap(params: dict, rng) -> CheckResult:
-    """Experiment, not an assumption: compare the weak {2} and 2-rainbow
-    numbers on permutation graphs and report whether they ever differ."""
-    t0 = time.perf_counter()
-    max_n = params.get("max_n", 6)
-    randoms = params.get("randoms", 100)
-    rand_n = params.get("rand_n", 9)
-    entry = REGISTRY["permutation"]
-    exhaustive = (
-        pi for n in range(1, max_n + 1) for pi in itertools.permutations(range(n))
-    )
-    sampled = (entry.sample(rand_n, rng) for _ in range(randoms))
-    gaps = []
-    checked = 0
-    for pi in itertools.chain(exhaustive, sampled):
-        wv, _ = entry.solvers["weak"](pi, 2, None, None)
-        rv, _ = entry.solvers["rainbow"](pi, 2, None, None)
-        if wv > rv:
-            return _result(
-                "permutation_weak_gap", t0, False,
-                "weak exceeded rainbow", f"pi={pi}",
-            )
-        if wv != rv:
-            gaps.append(pi)
-        checked += 1
-    if gaps:
-        detail = (
-            f"equality FAILS on this class: {len(gaps)}/{checked} instances "
-            f"differ, first pi={gaps[0]}"
-        )
-    else:
-        detail = f"values equal on all {checked} instances tried"
-    return _result("permutation_weak_gap", t0, True, detail)
-
-
-# gated class -> (size parameter, default size, k, budget parameter,
-# default budget in seconds)
-_GATES = {
-    "cograph": ("cograph_leaves", 100_000, 8, "cograph_budget", 1.0),
-    "trivially-perfect": ("tp_n", 100_000, 8, "tp_budget", 2.0),
-    "interval": ("interval_n", 25, 2, "interval_budget", 60.0),
-    "permutation": ("permutation_n", 30, 2, "permutation_budget", 120.0),
-}
-
-
-def check_perf_gates(params: dict, rng) -> CheckResult:
+@_declare(cost=3632, cograph_leaves=(100_000, 1), cograph_budget=(1.0, 0),
+        tp_n=(100_000, 1), tp_budget=(2.0, 0), interval_n=(25, 1),
+        interval_budget=(60.0, 0), permutation_n=(30, 1), permutation_budget=(120.0, 0))
+def check_perf_gates(rng, cograph_leaves, cograph_budget, tp_n, tp_budget, interval_n,
+                     interval_budget, permutation_n, permutation_budget):
     """Throughput gates for the linear-time claims at desk scale: each gate
-    times its class's ``timed`` on an instance from its ``sample``, the
-    pair ``bench`` runs."""
-    t0 = time.perf_counter()
+    times its class's ``timed`` at k on an instance of the given size from
+    its ``sample``, the pair ``bench`` runs, against a budget in seconds."""
     results = []
-    for cls, (size_key, n, k, budget_key, budget) in _GATES.items():
+    for cls, n, k, budget in (
+        ("cograph", cograph_leaves, 8, cograph_budget),
+        ("trivially-perfect", tp_n, 8, tp_budget),
+        ("interval", interval_n, 2, interval_budget),
+        ("permutation", permutation_n, 2, permutation_budget),
+    ):
         entry = REGISTRY[cls]
-        instance = entry.sample(params.get(size_key, n), rng)
+        instance = entry.sample(n, rng)
         t1 = time.perf_counter()
         entry.timed(instance, k)
-        results.append((cls, time.perf_counter() - t1, params.get(budget_key, budget)))
+        results.append((cls, time.perf_counter() - t1, budget))
     slow = [(name, dt, cap) for name, dt, cap in results if dt >= cap]
     if slow:
         detail = ", ".join(f"{name}={dt:.2f}s" for name, dt, _ in results)
-        return _result("perf_gates", t0, False, "over budget: " + detail)
+        return False, "over budget: " + detail, None
     # measured times are volatile; the canonical detail only records the gates
-    return _result(
-        "perf_gates", t0, True,
-        f"{len(results)} gates within budget",
-    )
-
-
-CHECKS: dict[str, Callable] = {
-    "reference_constants": check_reference_constants,
-    "oracle_cross": check_oracle_cross,
-    "global_invariants": check_global_invariants,
-    "cograph_cert": check_cograph_cert,
-    "p4sparse_cert": check_p4sparse_cert,
-    "tp_cert": check_tp_cert,
-    "tp_rainbow_equality": check_tp_rainbow_equality,
-    "interval_cert": check_interval_cert,
-    "permutation_cert": check_permutation_cert,
-    "permutation_weak_gap": check_permutation_weak_gap,
-    "bipartite_cert": check_bipartite_cert,
-    "gadget_cert": check_gadget_cert,
-    "perf_gates": check_perf_gates,
-}
+    return True, f"{len(results)} gates within budget", None
 
 
 def default_plan(profile: str = "quick", seed: int = 0) -> CertificationPlan:
@@ -1032,53 +963,27 @@ def _run_checks(seed: int, checks) -> list[CheckResult]:
     ]
 
 
-# Fixed cost weight of each check in milliseconds, for dealing checks to
-# workers: the median of five `verify --timing` runs of the benchmark plan
-# (perfbench/certify_plan.json, seed 101, one worker; perf_gates from one
-# run of its full-plan parameters) on a 2-core host, Python 3.11.  Only
-# their ratios matter, and they only balance the deal: a report does not
-# depend on them.
-CHECK_COST: dict[str, int] = {
-    "reference_constants": 57,
-    "oracle_cross": 368,
-    "global_invariants": 79,
-    "cograph_cert": 633,
-    "p4sparse_cert": 100,
-    "tp_cert": 584,
-    "tp_rainbow_equality": 125,
-    "interval_cert": 325,
-    "permutation_cert": 754,
-    "permutation_weak_gap": 179,
-    "bipartite_cert": 230,
-    "gadget_cert": 54,
-    "perf_gates": 3632,
-}
-
-
 def _deal(checks, w: int) -> list[list[int]]:
     """Indices of the checks each of ``w`` workers runs: each check, in plan
-    order, goes to the worker with the least ``CHECK_COST`` dealt so far
+    order, goes to the worker with the least declared cost dealt so far
     (ties to the lowest worker)."""
     loads = [0] * w
     shares: list[list[int]] = [[] for _ in range(w)]
     for i, (name, _params) in enumerate(checks):
         j = loads.index(min(loads))
         shares[j].append(i)
-        loads[j] += CHECK_COST[name]
+        loads[j] += DECLARATIONS[name].cost
     return shares
 
 
 def run_plan(plan: CertificationPlan, workers: int = 1) -> CertificationReport:
     """Execute all checks in ``w = min(workers, len(plan.checks))``
     processes, the caller being worker 0.  Each check, in plan order, goes
-    to the worker with the least ``CHECK_COST`` dealt so far (``_deal``),
+    to the worker with the least declared cost dealt so far (``_deal``),
     so the deal depends only on the plan and ``w``; each check gets its own
     seed-derived generator, so the report is identical for every worker
     count.  The pool uses the interpreter's start method, which the
     application may choose."""
-    for name, _params in plan.checks:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}")
     w = max(1, min(workers, len(plan.checks)))
     if w == 1:
         results = _run_checks(plan.seed, plan.checks)

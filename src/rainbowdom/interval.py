@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _vertex_rows
 from .sweep import (
     FULL, RAINBOW, WEAK, Labels, advance, as_rainbow, as_weights, gain_at, run,
 )
@@ -75,19 +75,8 @@ class IntervalModel:
 
 def parse_intervals(text: str) -> IntervalModel:
     """n lines ``v left right``."""
-    entries = {}
-    n = 0  # lines read; a repeated vertex leaves fewer entries
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed interval line: {ln!r}")
-        entries[int(parts[0])] = (int(parts[1]), int(parts[2]))
-        n += 1
-    if sorted(entries) != list(range(n)):
-        raise ValueError("intervals must cover vertices 0..n-1 exactly once")
-    return IntervalModel(tuple(entries[v] for v in range(n)))
+    rows = _vertex_rows(text, 3, "interval", "intervals must cover vertices")
+    return IntervalModel(tuple((int(lo), int(hi)) for _v, lo, hi in rows))
 
 
 def render_intervals(m: IntervalModel) -> str:

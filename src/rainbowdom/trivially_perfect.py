@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .cograph import Cotree, CotreeBuilder
-from .graph import Graph
+from .graph import Graph, _vertex_rows
 from .semantics import KAssignment, WeightFunction
 from .oracle import InfeasibleInstance
 
@@ -40,9 +40,6 @@ __all__ = [
     "jk_domination_tp",
     "random_tree_model",
 ]
-
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class TPRefusal:
@@ -152,19 +149,8 @@ class RootedTreeModel:
 
 def parse_tree_model(text: str) -> RootedTreeModel:
     """n lines ``v parent`` with -1 marking roots."""
-    entries = {}
-    n = 0  # lines read; a repeated vertex leaves fewer entries
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed model line: {ln!r}")
-        entries[int(parts[0])] = int(parts[1])
-        n += 1
-    if sorted(entries) != list(range(n)):
-        raise ValueError("model must list each vertex 0..n-1 exactly once")
-    return RootedTreeModel([entries[v] for v in range(n)])
+    rows = _vertex_rows(text, 2, "model", "model must list each vertex")
+    return RootedTreeModel([int(parent) for _v, parent in rows])
 
 
 def render_tree_model(model: RootedTreeModel) -> str:
@@ -173,19 +159,8 @@ def render_tree_model(model: RootedTreeModel) -> str:
 
 def parse_assignment(text: str, k: int) -> KAssignment:
     """n lines ``v a b``."""
-    entries = {}
-    n = 0  # lines read; a repeated vertex leaves fewer entries
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed assignment line: {ln!r}")
-        entries[int(parts[0])] = (int(parts[1]), int(parts[2]))
-        n += 1
-    if sorted(entries) != list(range(n)):
-        raise ValueError("assignment must list each vertex 0..n-1 exactly once")
-    return KAssignment(k, tuple(entries[v] for v in range(n)))
+    rows = _vertex_rows(text, 3, "assignment", "assignment must list each vertex")
+    return KAssignment(k, tuple((int(a), int(b)) for _v, a, b in rows))
 
 
 def render_assignment(L: KAssignment) -> str:

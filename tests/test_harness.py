@@ -9,8 +9,7 @@ import pytest
 import rainbowdom
 from rainbowdom.graph import Graph
 from rainbowdom.harness import (
-    CHECK_COST,
-    CHECKS,
+    DECLARATIONS,
     CertificationPlan,
     CertificationReport,
     check_cograph_cert,
@@ -178,7 +177,7 @@ def test_pool_gets_one_process_per_share_beyond_the_caller(monkeypatch):
     # the heavy cograph_cert fills the caller, so both light checks go to
     # the other worker (check i mod 2 would give the caller oracle_cross)
     rc, oc, cc = SMALL_PLAN.checks
-    assert CHECK_COST["cograph_cert"] > CHECK_COST["reference_constants"]
+    assert DECLARATIONS["cograph_cert"].cost > DECLARATIONS["reference_constants"].cost
     pools.clear()
     shares.clear()
     plan = CertificationPlan(3, (cc, rc, oc))
@@ -188,8 +187,7 @@ def test_pool_gets_one_process_per_share_beyond_the_caller(monkeypatch):
 
 
 def test_every_check_has_a_cost_weight():
-    assert set(CHECK_COST) == set(CHECKS)
-    assert all(weight > 0 for weight in CHECK_COST.values())
+    assert all(declared.cost > 0 for declared in DECLARATIONS.values())
 
 
 SPAWN_SCRIPT = """\
@@ -228,6 +226,9 @@ def test_pool_works_under_spawn(tmp_path):
     {"checks": {"name": "tp_cert"}},
     {"seed": None, "checks": []},
     [1],
+    {"checks": [{"name": "cograph_cert", "params": {"max_leafs": 3}}]},
+    {"checks": [{"name": "reference_constants", "params": {"max_n": [5]}}]},
+    {"checks": [{"name": "no_such_check"}]},
 ])
 def test_malformed_plan_rejected(doc):
     with pytest.raises(ValueError):
