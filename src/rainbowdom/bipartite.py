@@ -47,6 +47,8 @@ class BipartiteInstance:
             raise ValueError("k must be a positive integer")
         b1 = list(b_side1)
         b2 = list(b_side2)
+        if not b1 or not b2:
+            raise ValueError("both sides need at least one vertex")
         for b in b1 + b2:
             if not (0 <= b <= k):
                 raise ValueError("demand out of range 0..k")

@@ -89,7 +89,7 @@ def _witness_json(problem: str, k: int, value: int, witness) -> str:
         doc["labels"] = {str(v): sorted(lab) for v, lab in enumerate(witness.labels)}
     elif isinstance(witness, WeightFunction):
         doc["weights"] = {str(v): w for v, w in enumerate(witness.weights)}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
 
 
 def cmd_solve(args) -> int:

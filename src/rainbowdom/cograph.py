@@ -17,10 +17,12 @@ all colors, its excluded foot takes a single color).
 cheapest weight vector valid when the outside already contributes q to
 every neighborhood sum; they take trees without spider nodes.
 
-Every traversal of a built tree is iterative, so deep trees are safe to
-solve.  ``parse_cotree`` is the exception: it recurses once per nesting
-level, so a text nested deeper than the interpreter's recursion limit
-raises RecursionError.
+A tree's node ids are its bottom-up order (children below their parent,
+the root last), and the constructor stores every node's size and leaf
+span; so each DP is a plain loop over the ids, and deep trees are safe
+to solve.  ``parse_cotree`` is the exception: it recurses once per
+nesting level, so a text nested deeper than the interpreter's recursion
+limit raises RecursionError.
 """
 
 from __future__ import annotations
@@ -88,82 +90,77 @@ class Cotree:
     ``spider[v]``, whose head subtree is ``left[v]``, or -1 without a
     head).  Leaves and spider feet and bodies carry the vertices 0..n-1,
     each once; ``n_leaves`` is n.
+
+    Node ids are a bottom-up order: every child id is below its parent's,
+    every node but the root has one parent, and the root is the last id.
+    So ``range(len(kind))`` visits children before parents, and its
+    reverse visits parents first.  ``seq`` lists all vertices left to
+    right and node v's vertices are ``seq[start[v]:start[v] + size[v]]``;
+    a spider lists its feet, then its body, then its head's vertices.
     """
 
     __slots__ = ("kind", "left", "right", "leaf_vertex", "spider", "root", "size",
-                 "n_leaves")
+                 "n_leaves", "seq", "start")
 
     def __init__(self, kind, left, right, leaf_vertex, root, spider=None):
+        nk = len(kind)
+        if not nk or root != nk - 1:
+            raise ValueError("the root must be the last node id")
         self.kind = kind
         self.left = left
         self.right = right
         self.leaf_vertex = leaf_vertex
-        self.spider = spider if spider is not None else [None] * len(kind)
+        spider = self.spider = spider if spider is not None else [None] * nk
         self.root = root
-        size = self.size = [0] * len(kind)
-        for v in self.post_order():
-            if kind[v] == "L":
-                size[v] = 1
-            elif kind[v] == "S":
-                head = size[left[v]] if left[v] != -1 else 0
-                size[v] = 2 * len(self.spider[v].feet) + head
+        size = self.size = [1] * nk
+        parents = [0] * nk
+        for v in range(nk):
+            kv = kind[v]
+            if kv == "L":
+                continue
+            if kv == "S":
+                size[v] = 2 * len(spider[v].feet)
+                kids = (left[v],) if left[v] != -1 else ()
             else:
-                size[v] = size[left[v]] + size[right[v]]
-        self.n_leaves = size[root]
-        seq, start = self.leaf_spans()
-        if set(seq) != set(range(self.n_leaves)):
+                size[v] = 0
+                kids = (left[v], right[v])
+            for c in kids:
+                if not 0 <= c < v:
+                    raise ValueError(f"child {c} of node {v} is not below its parent")
+                parents[c] += 1
+                size[v] += size[c]
+        if parents.count(1) != nk - 1:
+            raise ValueError("every node but the root needs exactly one parent")
+        n = self.n_leaves = size[root]
+        seq = self.seq = [-1] * n
+        start = self.start = [0] * nk
+        for v in reversed(range(nk)):
+            kv, s = kind[v], start[v]
+            if kv == "L":
+                seq[s] = leaf_vertex[v]
+            elif kv == "S":
+                sp = spider[v]
+                m = len(sp.feet)
+                seq[s:s + m] = sp.feet
+                seq[s + m:s + 2 * m] = sp.body
+                if left[v] != -1:
+                    start[left[v]] = s + 2 * m
+            else:
+                a = left[v]
+                start[a] = s
+                start[right[v]] = s + size[a]
+        if set(seq) != set(range(n)):
             raise ValueError("vertices must be exactly 0..n-1 without repeats")
         if "S" in kind:
-            for v, sp in enumerate(self.spider):
+            for v, sp in enumerate(spider):
                 if sp is not None:  # the head is what the head subtree holds
-                    h = left[v]
-                    head = tuple(seq[start[h]:start[h] + size[h]]) if h != -1 else ()
-                    self.spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
-
-    def post_order(self) -> list[int]:
-        kind, left, right = self.kind, self.left, self.right
-        order = []
-        stack = [(self.root, False)]
-        while stack:
-            v, expanded = stack.pop()
-            kv = kind[v]
-            if expanded or kv == "L" or (kv == "S" and left[v] == -1):
-                order.append(v)
-            else:
-                stack.append((v, True))
-                if kv != "S":
-                    stack.append((right[v], False))
-                stack.append((left[v], False))
-        return order
-
-    def leaf_spans(self) -> tuple[list[int], list[int]]:
-        """All vertices left to right, and per node the index of its first
-        one: node v's vertices are seq[start[v]:start[v] + size[v]].  A
-        spider lists its feet, then its body, then its head's vertices."""
-        seq: list[int] = []
-        start = [0] * len(self.kind)
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            start[v] = len(seq)
-            kv = self.kind[v]
-            if kv == "L":
-                seq.append(self.leaf_vertex[v])
-            elif kv == "S":
-                sp = self.spider[v]
-                seq.extend(sp.feet)
-                seq.extend(sp.body)
-                if self.left[v] != -1:
-                    stack.append(self.left[v])
-            else:
-                stack.append(self.right[v])
-                stack.append(self.left[v])
-        return seq, start
+                    s = start[v]
+                    head = tuple(seq[s + 2 * len(sp.feet):s + size[v]])
+                    spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
 
     def to_text(self) -> str:
-        parts: dict[int, str] = {}
-        for v in self.post_order():
-            kv = self.kind[v]
+        parts: list[str] = [""] * len(self.kind)
+        for v, kv in enumerate(self.kind):
             if kv == "L":
                 parts[v] = str(self.leaf_vertex[v])
             elif kv == "S":
@@ -359,11 +356,9 @@ def recognize_cograph(g: Graph):
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
-    seq, start = t.leaf_spans()
-    size = t.size
+    seq, start, size = t.seq, t.start, t.size
     adj: list[set[int]] = [set() for _ in range(t.n_leaves)]
-    for v in t.post_order():
-        kv = t.kind[v]
+    for v, kv in enumerate(t.kind):
         if kv == "J":
             a, b = t.left[v], t.right[v]
             left = seq[start[a]:start[a] + size[a]]
@@ -407,8 +402,7 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     # cheapest all-nonempty cover of all k colors
     rp = [sz if sz > k else k for sz in size]
     rm = [INF] * len(kind)  # cheapest function with some empty label
-    for v in t.post_order():
-        kv = kind[v]
+    for v, kv in enumerate(kind):
         if kv == "L":
             continue
         if kv == "S":
@@ -425,7 +419,7 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     if not want_witness:
         return value, None
 
-    seq, start = t.leaf_spans()
+    seq, start = t.seq, t.start
     labels: list[frozenset[int]] = [frozenset()] * t.n_leaves
 
     def leaves(node: int) -> list[int]:
@@ -540,17 +534,15 @@ def _weight_dp(t: Cotree, k: int, leaf_value, want_witness: bool):
     leaf_value(q) gives the cheapest weight of a lone vertex whose
     neighborhood already receives q from outside.
     """
-    order = t.post_order()
     size = t.size
-    nk = len(t.kind)
-    tables: list[list[int]] = [None] * nk  # type: ignore[list-item]
-    for v in order:
-        if t.kind[v] == "L":
+    tables: list[list[int]] = [None] * len(t.kind)  # type: ignore[list-item]
+    for v, kv in enumerate(t.kind):
+        if kv == "L":
             tables[v] = [leaf_value(q) for q in range(k + 1)]
-        elif t.kind[v] == "U":
+        elif kv == "U":
             ta, tb = tables[t.left[v]], tables[t.right[v]]
             tables[v] = [ta[q] + tb[q] for q in range(k + 1)]
-        elif t.kind[v] == "S":
+        elif kv == "S":
             raise ValueError("the weak {k} and {k} DPs take no spider nodes")
         else:
             a, b = t.left[v], t.right[v]

@@ -76,9 +76,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     @property
     def m(self) -> int:
         return sum(map(len, self._adj)) // 2

@@ -120,8 +120,7 @@ def _recognize_complete_bipartite(g: Graph, L: KAssignment):
     refusal = "not complete bipartite with zero floors"
     if g.n < 2 or any(a for a, _b in L.pairs):
         return refusal
-    side1 = sorted(set(range(g.n)) - g.neighbors(0) - {0}) + [0]
-    side1 = sorted(side1)
+    side1 = sorted(set(range(g.n)) - g.neighbors(0))
     side2 = sorted(set(range(g.n)) - set(side1))
     if side1 != list(range(len(side1))) or not side2:
         return refusal

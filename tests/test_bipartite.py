@@ -87,6 +87,12 @@ def test_side_swap_symmetry():
         assert v1 == v2
 
 
+@pytest.mark.parametrize("sides", [([], [1, 1, 1]), ([1, 1], []), ([], [])])
+def test_empty_side_rejected(sides):
+    with pytest.raises(ValueError):
+        BipartiteInstance.from_labels(1, *sides)
+
+
 def test_nonzero_floor_rejected():
     L = KAssignment(2, ((1, 0), (0, 2)))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from rainbowdom.graph import Graph
 from rainbowdom.semantics import (
+    check_witness,
     is_k_dom,
     is_rainbow,
     is_weak_k,
@@ -104,9 +105,8 @@ def test_join_minus_table_at_most_2k():
 
     t = random_cotree(12, 3)
     k = 2
-    order = t.post_order()
     rm = [INF] * len(t.kind)
-    for v in order:
+    for v in range(len(t.kind)):
         if t.kind[v] == "L":
             continue
         a, b = t.left[v], t.right[v]
@@ -165,3 +165,42 @@ def test_weight_dps_refuse_spider_nodes(solver):
     with pytest.raises(ValueError):
         solver(t, 2, want_witness=False)
 
+
+
+@pytest.mark.parametrize("arrays", [
+    # (kind, left, right, leaf_vertex, root)
+    (["U", "L", "L"], [1, -1, -1], [2, -1, -1], [-1, 0, 1], 2),  # child above parent
+    (["L", "L", "U"], [-1, -1, 0], [-1, -1, 1], [0, 1, -1], 1),  # root not last
+    (["L", "L", "L", "U"], [-1, -1, -1, 0], [-1, -1, -1, 1], [0, 1, 2, -1], 3),  # orphan
+    (["L", "L", "U", "U"], [-1, -1, 0, 2], [-1, -1, 1, 1], [0, 1, -1, -1], 3),  # two parents
+    ([], [], [], [], -1),
+])
+def test_constructor_enforces_bottom_up_ids(arrays):
+    with pytest.raises(ValueError):
+        Cotree(*arrays)
+
+
+def test_array_built_deep_caterpillar():
+    # 5,000 nesting levels, built straight from arrays: leaf, then its
+    # parent, as perfbench/make_expected.py builds its deep cotrees
+    rng = random.Random(5)
+    depth = 5000
+    labels = list(range(depth + 1))
+    rng.shuffle(labels)
+    join_at = set(rng.sample(range(depth), 4))
+    kind, left, right, leaf = ["L"], [-1], [-1], [labels[0]]
+    acc = 0
+    for i, v in enumerate(labels[1:]):
+        kind += ["L", "J" if i in join_at else "U"]
+        left += [-1, acc]
+        right += [-1, acc + 1]
+        leaf += [v, -1]
+        acc += 2
+    t = Cotree(kind, left, right, leaf, acc)
+    assert t.n_leaves == depth + 1
+    g = cotree_to_graph(t)
+    shallow = recognize_cograph(g)
+    for problem, solver in (("rainbow", rainbow_cograph), ("weak", weak_cograph)):
+        value, witness = solver(t, 2)
+        assert check_witness(problem, g, value, witness) is None
+        assert value == solver(shallow, 2, want_witness=False)[0]

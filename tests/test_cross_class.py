@@ -104,7 +104,7 @@ def separable_permutation(t):
     """The permutation whose inversion graph is the cograph of cotree t, and
     the cotree vertex of each segment."""
     seq, perm = {}, {}
-    for v in t.post_order():
+    for v in range(len(t.kind)):
         if t.kind[v] == "L":
             seq[v], perm[v] = [t.leaf_vertex[v]], [0]
             continue

@@ -35,7 +35,7 @@ def alternating_threshold(n: int, seed: int = 0) -> Graph:
 
 def cotree_depth(t: Cotree) -> int:
     depth = {t.root: 0}
-    for v in reversed(t.post_order()):
+    for v in reversed(range(len(t.kind))):
         if t.kind[v] != "L":
             depth[t.left[v]] = depth[t.right[v]] = depth[v] + 1
     return max(depth.values())

@@ -79,7 +79,7 @@ def test_p4sparse_to_graph_and_leaf_spans(text):
     tree = parse_cotree(text)
     leaves = leaf_lists(tree.kind, tree.left, tree.right, tree.leaf_vertex,
                         tree.root, tree.spider)
-    seq, start = tree.leaf_spans()
+    seq, start = tree.seq, tree.start
     for v in leaves:
         assert seq[start[v]:start[v] + tree.size[v]] == leaves[v]
     edges = []
