@@ -64,6 +64,16 @@ class BipartiteInstance:
             order2,
         )
 
+    @property
+    def n(self) -> int:
+        return self.n1 + self.n2
+
+    def open_sums(self, x) -> list:
+        """Per vertex, the sum of ``x`` over its neighbours: the other
+        side's total.  Side 1 is vertices 0..n1-1."""
+        side1, side2 = sum(x[:self.n1]), sum(x[self.n1:])
+        return [side2] * self.n1 + [side1] * self.n2
+
     def assignment(self) -> KAssignment:
         """The zero-floor assignment this instance encodes: demands in
         vertex order, side 1 first."""

@@ -3,8 +3,10 @@
 Values go to standard output as a single integer line; diagnostics go to
 standard error.  Exit codes: 0 success, 2 bad input or incompatible
 problem/class, 3 oracle cap exceeded.  Every witness is validated, and its
-cost compared with the printed value, before either is written.  The
-(class, problem) table lives in ``rainbowdom.registry``.
+cost compared with the printed value, before either is written; a witness
+solved from a model file is validated on the model, so ``solve --model``
+builds no graph.  The (class, problem) table lives in
+``rainbowdom.registry``.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ def cmd_solve(args) -> int:
 
     L = None
     model = None
+    g = None  # the input graph, when the input is one
 
     if cls == "complete-bipartite":
         if not args.model:
@@ -114,12 +117,12 @@ def cmd_solve(args) -> int:
         model = _read_model(cls, args.model)
         if model.k != k:
             _fail(f"instance file has k={model.k}, flag says k={k}")
-        g = entry.to_graph(model)
         L = model.assignment()
     elif entry is not None and entry.load is not None:
         if args.model:
             model = _read_model(cls, args.model)
-            g = entry.to_graph(model)
+            if model.n == 0:
+                g = Graph(0)
         elif args.graph:
             g = _parse_graph_file(args.graph)
             if g.n:
@@ -135,6 +138,9 @@ def cmd_solve(args) -> int:
         if not args.graph:
             _fail(f"class {cls} needs --graph")
         g = _parse_graph_file(args.graph)
+    # the witness check reads only n and open_sums, which every model has,
+    # so a model input is checked on the model and no graph is built
+    instance = model if g is None else g
 
     if problem == "weakL" and cls != "complete-bipartite":
         if not args.assignment:
@@ -143,11 +149,11 @@ def cmd_solve(args) -> int:
             L = parse_assignment(_read(args.assignment), k)
         except ValueError as exc:
             _fail(f"cannot parse assignment: {exc}")
-        if len(L.pairs) != g.n:
+        if len(L.pairs) != instance.n:
             _fail("assignment size disagrees with the instance")
 
     # no decomposition tree models the empty graph; the oracle answers it
-    chosen = "oracle" if g.n == 0 else cls
+    chosen = "oracle" if instance.n == 0 else cls
     if chosen == "auto":
         chosen = "oracle"
         for name in AUTO[problem]:
@@ -179,7 +185,7 @@ def cmd_solve(args) -> int:
     except InfeasibleInstance as exc:
         _fail(f"infeasible: {exc}")
 
-    fault = check_witness(problem, g, value, witness, j, L)
+    fault = check_witness(problem, instance, value, witness, j, L)
     if fault is not None:
         raise AssertionError(f"internal error: {fault}")
     if args.witness:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import Graph
 from .semantics import RainbowFunction, WeightFunction
@@ -157,6 +158,55 @@ class Cotree:
                     s = start[v]
                     head = tuple(seq[s + 2 * len(sp.feet):s + size[v]])
                     spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
+
+    @property
+    def n(self) -> int:
+        return self.n_leaves
+
+    def open_sums(self, x) -> list:
+        """Per vertex, the sum of ``x`` over its neighbours, in O(n) and
+        without an edge.  Top down, ``out[v]`` is what every vertex of
+        node v sees from outside it: a join adds each side's total to the
+        other side, a union adds nothing, and a spider applies its rules
+        to its feet and body and adds the body to its head.  Node totals
+        are differences of prefix sums over the leaf spans."""
+        kind, left, right, seq, start, size = (
+            self.kind, self.left, self.right, self.seq, self.start, self.size)
+        pre = [0]
+        pre += accumulate([x[v] for v in seq])
+
+        def total(v: int) -> int:
+            return pre[start[v] + size[v]] - pre[start[v]]
+
+        out = [0] * len(kind)
+        sums = [0] * self.n_leaves
+        for v in reversed(range(len(kind))):
+            kv, o = kind[v], out[v]
+            if kv == "L":
+                sums[self.leaf_vertex[v]] = o
+            elif kv == "U":
+                out[left[v]] = out[right[v]] = o
+            elif kv == "J":
+                a, b = left[v], right[v]
+                out[a] = o + total(b)
+                out[b] = o + total(a)
+            else:
+                sp = self.spider[v]
+                m, s = len(sp.feet), start[v]
+                feet = pre[s + m] - pre[s]
+                body = pre[s + 2 * m] - pre[s + m]
+                head = pre[s + size[v]] - pre[s + 2 * m]
+                if left[v] != -1:
+                    out[left[v]] = o + body
+                # thin: foot i sees body i; thick: every body vertex but that one
+                for f, y in zip(sp.feet, sp.body):
+                    if sp.kind == "thin":
+                        sums[f] = o + x[y]
+                        sums[y] = o + body - x[y] + head + x[f]
+                    else:
+                        sums[f] = o + body - x[y]
+                        sums[y] = o + body - x[y] + head + feet - x[f]
+        return sums
 
     def to_text(self) -> str:
         parts: list[str] = [""] * len(self.kind)

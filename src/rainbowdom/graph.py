@@ -70,6 +70,11 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
+    def open_sums(self, x: Sequence[int]) -> _NeighbourSums:
+        """Per vertex, the sum of ``x`` over its neighbours (the adjacency
+        matrix times x), each summed only when it is read."""
+        return _NeighbourSums(self._adj, x)
+
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -158,6 +163,24 @@ class Graph:
         if hasattr(self, "_adj"):
             raise AttributeError("Graph is immutable")
         object.__setattr__(self, name, value)
+
+
+class _NeighbourSums:
+    """``Graph.open_sums``: item v sums x over v's neighbours when it is
+    read, so a validator pays only for the vertices its rule reads.  Only
+    the vertices where x is nonzero add anything, and a set intersection
+    walks the smaller of the two sets."""
+
+    __slots__ = ("_adj", "_x", "_support")
+
+    def __init__(self, adj, x: Sequence[int]):
+        self._adj = adj
+        self._x = x
+        self._support = {v for v, xv in enumerate(x) if xv}
+
+    def __getitem__(self, v: int) -> int:
+        x = self._x
+        return sum([x[u] for u in self._adj[v] & self._support])
 
 
 def parse_graph(text: str) -> Graph:

@@ -37,8 +37,9 @@ labellings worth trying per clique, listed once per clique:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import Graph, _vertex_rows
 from .sweep import (
@@ -71,6 +72,22 @@ class IntervalModel:
     @property
     def n(self) -> int:
         return len(self.intervals)
+
+    def open_sums(self, x) -> list:
+        """Per vertex v, the sum of ``x`` over the intervals meeting v's:
+        the intervals that start by v's end, less those that end before v
+        starts and v itself.  Prefix sums, O(n log n), and no edge."""
+        ivs = self.intervals
+        by_hi = sorted(range(self.n), key=lambda v: ivs[v][1])
+        by_lo = sorted(range(self.n), key=lambda v: ivs[v][0])
+        his = [ivs[v][1] for v in by_hi]
+        los = [ivs[v][0] for v in by_lo]
+        ended = [0]
+        ended += accumulate([x[v] for v in by_hi])
+        started = [0]
+        started += accumulate([x[v] for v in by_lo])
+        return [started[bisect_right(los, hi)] - ended[bisect_left(his, lo)] - xv
+                for (lo, hi), xv in zip(ivs, x)]
 
 
 def parse_intervals(text: str) -> IntervalModel:

@@ -30,6 +30,8 @@ no higher cost, and each of its ten reaches at least as far
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .graph import Graph
 from .oracle import _greedy_dominating
 from .sweep import (
@@ -37,6 +39,7 @@ from .sweep import (
 )
 
 __all__ = [
+    "Permutation",
     "parse_permutation",
     "render_permutation",
     "diagram_to_graph",
@@ -45,13 +48,54 @@ __all__ = [
 ]
 
 
-def parse_permutation(text: str) -> tuple[int, ...]:
+class Permutation(tuple):
+    """A diagram as the tuple pi of 0-indexed bottom positions: segment s
+    runs from top position s to bottom position pi[s]."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self)
+
+    def open_sums(self, x) -> list:
+        """Per segment, the sum of ``x`` over the segments crossing it, in
+        O(n log n) and without an edge.  Segment s crosses the earlier
+        segments that end above it and the later ones that end below it.
+        One pass left to right keeps a Fenwick tree over the bottom
+        positions passed; with ``below`` the x of the earlier segments
+        ending below s, the first group sums to passed - below and the
+        second to lower[pi[s]] - below."""
+        n = len(self)
+        at = [0] * n
+        for s, c in enumerate(self):
+            at[c] = x[s]
+        lower = [0]  # lower[c]: x over every segment ending below c
+        lower += accumulate(at)
+        tree = [0] * (n + 1)
+        passed = 0
+        sums = []
+        for s, c in enumerate(self):
+            below, i = 0, c
+            while i:
+                below += tree[i]
+                i &= i - 1
+            sums.append(passed + lower[c] - 2 * below)
+            i = c + 1
+            while i <= n:
+                tree[i] += x[s]
+                i += i & -i
+            passed += x[s]
+        return sums
+
+
+def parse_permutation(text: str) -> Permutation:
     """One line: the images of 1..n.  Returned 0-indexed."""
     parts = text.split()
     pi = [int(x) - 1 for x in parts]
     if sorted(pi) != list(range(len(pi))):
         raise ValueError("not a permutation of 1..n")
-    return tuple(pi)
+    return Permutation(pi)
 
 
 def render_permutation(pi: tuple[int, ...]) -> str:

@@ -51,7 +51,6 @@ from .permutation import (
     weak2_permutation,
 )
 from .bipartite import (
-    complete_bipartite_graph,
     instance_from_assignment,
     parse_bipartite_instance,
     weakL_complete_bipartite,
@@ -74,9 +73,11 @@ class GraphClass:
     which returns (value, witness); the oracle's model is the graph.
     ``load`` parses a model file (``kind`` names the file for convert),
     ``recognize(g, L)`` returns a model of g or the refusal message, and
-    ``to_graph`` builds the graph a model encodes.  bench and the harness's
-    perf gates time ``timed(instance, k)`` on each
-    ``instance = sample(n, rng)``."""
+    ``to_graph`` builds the graph a model file encodes, for convert.
+    Every loaded model has ``n`` and ``open_sums``, which is all
+    ``semantics.check_witness`` reads, so solve checks a model's witness
+    on the model.  bench and the harness's perf gates time
+    ``timed(instance, k)`` on each ``instance = sample(n, rng)``."""
 
     solvers: dict[str, Callable]
     load: Callable | None = None
@@ -215,7 +216,6 @@ REGISTRY: dict[str, GraphClass] = {
     "complete-bipartite": GraphClass(
         {"weakL": _solve_bipartite},
         load=parse_bipartite_instance, recognize=_recognize_complete_bipartite,
-        to_graph=lambda m: complete_bipartite_graph(m.n1, m.n2),
     ),
     "oracle": GraphClass(
         {p: _oracle_solver(p) for p in PROBLEMS},

@@ -10,6 +10,14 @@ The weight variants assign integers in {0..k}:
 * weak {k}-L:     per-vertex floors a_x on the weight and b_x on the
                   closed-neighborhood weight of zero vertices
 
+Every rule reads only what a vertex sees in its open neighbourhood N(x),
+so the validators read their graph argument ``g`` only through ``g.n`` and
+``g.open_sums(x)``: for every vertex, the sum of the integers ``x`` over
+its neighbours.  A ``Graph`` sums its neighbour sets, and each model kind
+(cotree, rooted forest, intervals, permutation, complete bipartite)
+computes the sums from its own structure without building an edge, so a
+witness checks on the model it was solved on.
+
 Validators return ``(True, None)`` or ``(False, v)`` with v the first
 violating vertex in index order, so failures are deterministic.
 """
@@ -17,8 +25,6 @@ violating vertex in index order, so failures are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .graph import Graph
 
 __all__ = [
     "RainbowFunction",
@@ -98,84 +104,84 @@ def weight_cost(w: WeightFunction) -> int:
     return sum(w.weights)
 
 
-def _require_defined(g: Graph, size: int) -> None:
+def _require_defined(g, size: int) -> None:
     if size != g.n:
         raise ValueError(f"function defined on {size} vertices, graph has {g.n}")
 
 
-def is_rainbow(g: Graph, f: RainbowFunction) -> tuple[bool, int | None]:
-    """True iff every empty-labeled vertex sees all k colors around it."""
+def is_rainbow(g, f: RainbowFunction) -> tuple[bool, int | None]:
+    """True iff every empty-labeled vertex sees all k colors around it.
+
+    Colour c of a vertex is bit field c - 1 of one integer, so one open
+    sum counts every colour's neighbours at once.  A field is wide enough
+    for n - 1 neighbours below its top bit, so adding 2^(width-1) - 1 to
+    each field sets its top bit exactly when its count is positive."""
     _require_defined(g, len(f.labels))
-    full = frozenset(range(1, f.k + 1))
-    for v in range(g.n):
-        if f.labels[v]:
-            continue
-        seen: set[int] = set()
-        for u in g.neighbors(v):
-            seen |= f.labels[u]
-        if not full <= seen:
+    width = g.n.bit_length() + 1
+    bit = [0] + [1 << (c * width) for c in range(f.k)]
+    ones = sum(bit)
+    top = ones << (width - 1)
+    fill = top - ones
+    packed = {lab: sum([bit[c] for c in lab]) for lab in set(f.labels)}
+    sums = g.open_sums([packed[lab] for lab in f.labels])
+    for v, lab in enumerate(f.labels):
+        if not lab and (sums[v] + fill) & top != top:
             return False, v
     return True, None
 
 
-def is_weak_k(g: Graph, w: WeightFunction) -> tuple[bool, int | None]:
+def is_weak_k(g, w: WeightFunction) -> tuple[bool, int | None]:
     """Zero vertices need open-neighborhood weight at least k."""
     _require_defined(g, len(w.weights))
-    for v in range(g.n):
-        if w.weights[v] != 0:
-            continue
-        if sum(w.weights[u] for u in g.neighbors(v)) < w.k:
+    sums = g.open_sums(w.weights)
+    for v, x in enumerate(w.weights):
+        if x == 0 and sums[v] < w.k:
             return False, v
     return True, None
 
 
-def is_k_dom(g: Graph, w: WeightFunction) -> tuple[bool, int | None]:
+def is_k_dom(g, w: WeightFunction) -> tuple[bool, int | None]:
     """Every vertex needs closed-neighborhood weight at least k."""
     _require_defined(g, len(w.weights))
-    for v in range(g.n):
-        total = w.weights[v] + sum(w.weights[u] for u in g.neighbors(v))
-        if total < w.k:
+    sums = g.open_sums(w.weights)
+    for v, x in enumerate(w.weights):
+        if x + sums[v] < w.k:
             return False, v
     return True, None
 
 
-def is_jk_dom(g: Graph, w: WeightFunction, j: int) -> tuple[bool, int | None]:
+def is_jk_dom(g, w: WeightFunction, j: int) -> tuple[bool, int | None]:
     """Weights capped at j; closed-neighborhood weight at least k everywhere."""
     _require_defined(g, len(w.weights))
     if not (1 <= j <= w.k):
         raise ValueError("j must satisfy 1 <= j <= k")
-    for v in range(g.n):
-        if w.weights[v] > j:
+    for v, x in enumerate(w.weights):
+        if x > j:
             return False, v
     return is_k_dom(g, w)
 
 
-def is_weak_kL(
-    g: Graph, w: WeightFunction, L: KAssignment
-) -> tuple[bool, int | None]:
+def is_weak_kL(g, w: WeightFunction, L: KAssignment) -> tuple[bool, int | None]:
     """w(x) >= a_x everywhere; zero vertices need closed weight >= b_x."""
     _require_defined(g, len(w.weights))
     _require_defined(g, len(L.pairs))
     if L.k != w.k:
         raise ValueError("assignment and weights disagree on k")
-    for v in range(g.n):
-        a, b = L.pairs[v]
-        if w.weights[v] < a:
+    sums = g.open_sums(w.weights)
+    for v, (x, (a, b)) in enumerate(zip(w.weights, L.pairs)):
+        if x < a or (x == 0 and sums[v] < b):
             return False, v
-        if w.weights[v] == 0:
-            total = sum(w.weights[u] for u in g.neighbors(v))
-            if total < b:
-                return False, v
     return True, None
 
 
 def check_witness(
-    problem: str, g: Graph, value: int, witness, j: int | None = None,
+    problem: str, g, value: int, witness, j: int | None = None,
     L: KAssignment | None = None,
 ) -> str | None:
     """None when ``witness`` is a valid function of ``problem`` (rainbow,
     weak, kdom, jkdom or weakL) on g that costs exactly ``value``; else
-    what is wrong with it."""
+    what is wrong with it.  g is a ``Graph`` or a model (see the module
+    docstring)."""
     if witness is None:
         return "no witness"
     if problem == "rainbow":

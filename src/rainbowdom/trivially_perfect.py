@@ -101,6 +101,23 @@ class RootedTreeModel:
             p = self.parents[p]
         return out
 
+    def open_sums(self, x) -> list:
+        """Per vertex, the sum of ``x`` over its neighbours, its strict
+        ancestors and descendants: sums along the path down from the root
+        plus subtree sums, in O(n) and without an edge."""
+        parents, order = self.parents, self.order
+        above = [0] * self.n
+        for v in order:
+            p = parents[v]
+            if p != -1:
+                above[v] = above[p] + x[p]
+        below = list(x)  # subtree sums, children first
+        for v in reversed(order):
+            p = parents[v]
+            if p != -1:
+                below[p] += below[v]
+        return [a + b - xv for a, b, xv in zip(above, below, x)]
+
     def derived_graph(self) -> Graph:
         """Adjacency = strict ancestor relation (quadratic; desk scale):
         each vertex sees its descendants and its ancestors."""

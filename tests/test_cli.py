@@ -490,3 +490,51 @@ def test_class_table_matches_support_matrix(star_inputs, tmp_path):
             assert check_witness(
                 problem, g, int(out), _read_witness(wpath, problem), 1, L
             ) is None, (problem, cls)
+
+
+def test_model_inputs_build_no_graph(star_inputs, monkeypatch):
+    """Every (class, problem) pair that reads a model file prints the same
+    with every class's to_graph and the Graph constructor refusing to run:
+    the witness is checked on the model."""
+    import dataclasses
+
+    from rainbowdom.graph import Graph
+    from rainbowdom.registry import REGISTRY
+
+    inputs = {
+        "cograph": "cotree", "p4sparse": "cotree", "trivially-perfect": "tree",
+        "interval": "intervals", "permutation": "permutation",
+        "complete-bipartite": "bip",
+    }
+    runs = []
+    for cls, name in inputs.items():
+        for problem in REGISTRY[cls].solvers:
+            argv = ["solve", "--problem", problem, "--k", "2", "--class", cls,
+                    "--model", str(star_inputs[name])]
+            if problem == "jkdom":
+                argv += ["--j", "1"]
+            if problem == "weakL" and cls != "complete-bipartite":
+                argv += ["--assignment", str(star_inputs["assign"])]
+            runs.append(argv)
+    before = [run_cli(*argv) for argv in runs]
+    assert all(code == 0 for code, _out, _err in before)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a --model solve built a graph")
+
+    for cls, entry in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, cls, dataclasses.replace(entry, to_graph=refuse))
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    assert [run_cli(*argv) for argv in runs] == before
+
+
+def test_large_cotree_model_solves(tmp_path):
+    """A 20,000-leaf cotree solves from a file.  Its graph has 1.3 * 10^8
+    edges, so a witness check that built it would run out of memory."""
+    from rainbowdom.cograph import random_cotree
+
+    path = tmp_path / "big.cotree"
+    path.write_text(random_cotree(20000, 1).to_text() + "\n")
+    code, out, err = run_cli("solve", "--problem", "rainbow", "--k", "8",
+                             "--class", "cograph", "--model", str(path))
+    assert code == 0 and out.strip().isdigit(), err

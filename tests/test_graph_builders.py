@@ -1,16 +1,24 @@
 """Every graph builder fills neighbour sets directly; each must give the
 same graph as the edge-list constructor fed the builder's edge-list
-definition."""
+definition.  Each model's ``open_sums`` states its adjacency a second
+time, so it must agree with the neighbour sums of the graph the model
+builds, and a witness must check the same on the model as on the graph."""
 
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbowdom.bipartite import complete_bipartite_graph
-from rainbowdom.cograph import Cotree, cotree_to_graph, parse_cotree, random_cotree
+from rainbowdom.bipartite import BipartiteInstance, complete_bipartite_graph
+from rainbowdom.cograph import (
+    Cotree,
+    SpiderPartition,
+    cotree_to_graph,
+    parse_cotree,
+    random_cotree,
+)
 from rainbowdom.graph import (
     Graph,
     GraphParseError,
@@ -20,8 +28,22 @@ from rainbowdom.graph import (
     graph_union,
     parse_graph,
 )
+from rainbowdom.harness import (
+    enumerate_cographs,
+    enumerate_interval_models,
+    enumerate_p4sparse_trees,
+    enumerate_rooted_forests,
+)
 from rainbowdom.interval import IntervalModel, build_arrangement, interval_graph
-from rainbowdom.permutation import diagram_to_graph
+from rainbowdom.oracle import InfeasibleInstance
+from rainbowdom.permutation import Permutation, diagram_to_graph
+from rainbowdom.registry import REGISTRY
+from rainbowdom.semantics import (
+    KAssignment,
+    RainbowFunction,
+    WeightFunction,
+    check_witness,
+)
 from rainbowdom.trivially_perfect import RootedTreeModel
 
 from test_recognition_properties import gnp, p4sparse_texts
@@ -213,3 +235,152 @@ def test_immutable_and_picklable_after_edges_built():
             setattr(g, name, None)
     assert g.edges == {(0, 1), (1, 2)}
     assert pickle.loads(pickle.dumps(g)) == g
+
+
+# --- open_sums: the second statement of each model's adjacency ---------------
+
+
+def assert_open_sums(model, g: Graph, rng) -> None:
+    """model.open_sums and g.open_sums both give, per vertex, the sum of x
+    over g's neighbours, for a dense and a sparse random integer vector."""
+    assert model.n == g.n
+    for density in (1.0, 0.3):
+        x = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(g.n)]
+        want = [sum(x[u] for u in g.neighbors(v)) for v in range(g.n)]
+        sums = g.open_sums(x)
+        assert [sums[v] for v in range(g.n)] == want
+        assert list(model.open_sums(x)) == want
+
+
+def relabel_tree(t: Cotree, perm) -> Cotree:
+    """The same tree with vertex v renamed perm[v]."""
+    spider = [sp and SpiderPartition(sp.kind, tuple(perm[v] for v in sp.feet),
+                                     tuple(perm[v] for v in sp.body), ())
+              for sp in t.spider]
+    return Cotree(t.kind, t.left, t.right,
+                  [perm[x] if x != -1 else -1 for x in t.leaf_vertex], t.root, spider)
+
+
+def small_models(max_n: int, max_interval_n: int):
+    """(class, model, graph) for every model the certification enumerators
+    give up to max_n vertices (interval classes up to max_interval_n), every
+    permutation of up to max_n elements and the complete bipartite graphs
+    with sides of up to 3."""
+    for t, g in enumerate_cographs(max_n):
+        yield "cograph", t, g
+    for t, g in enumerate_p4sparse_trees(max_n):
+        if "S" in t.kind:
+            yield "p4sparse", t, g
+    for m in enumerate_rooted_forests(max_n):
+        yield "trivially-perfect", m, m.derived_graph()
+    for g, m in enumerate_interval_models(max_interval_n):
+        yield "interval", m, g
+    for n in range(max_n + 1):
+        for pi in permutations(range(n)):
+            yield "permutation", Permutation(pi), diagram_to_graph(pi)
+    for n1 in range(1, 4):
+        for n2 in range(1, 4):
+            yield ("complete-bipartite", BipartiteInstance.from_labels(1, [0] * n1, [0] * n2),
+                   complete_bipartite_graph(n1, n2))
+
+
+# interval classes stop at 7 vertices: enumerating those on 8 takes minutes
+def test_open_sums_on_enumerated_models():
+    rng = random.Random(0)
+    for _cls, model, g in small_models(8, 7):
+        assert_open_sums(model, g, rng)
+
+
+@st.composite
+def random_models(draw, max_n=60):
+    """A model of any kind on up to max_n vertices, with shuffled vertex
+    ids, and the graph its builder gives."""
+    kind = draw(st.sampled_from(["cotree", "p4tree", "forest", "intervals",
+                                 "permutation", "bipartite"]))
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if kind == "cotree":
+        t = relabel_tree(random_cotree(n, rng.randrange(10**6)), perm)
+        return t, cotree_to_graph(t)
+    if kind == "p4tree":
+        t = parse_cotree(draw(p4sparse_texts(max_n=max_n)))
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        t = relabel_tree(t, perm)
+        return t, cotree_to_graph(t)
+    if kind == "forest":
+        parents = [-1] * n
+        for i, v in enumerate(perm[1:], 1):
+            if rng.random() < 0.9:
+                parents[v] = perm[rng.randrange(i)]
+        m = RootedTreeModel(parents)
+        return m, m.derived_graph()
+    if kind == "intervals":
+        m = IntervalModel(tuple(
+            (lo, lo + rng.randint(0, 10)) for lo in (rng.randint(0, 3 * n) for _ in range(n))))
+        return m, interval_graph(m)
+    if kind == "permutation":
+        return Permutation(perm), diagram_to_graph(perm)
+    n1 = rng.randint(1, max(1, n - 1))
+    return (BipartiteInstance.from_labels(1, [0] * n1, [0] * (n + 1 - n1)),
+            complete_bipartite_graph(n1, n + 1 - n1))
+
+
+@SETTINGS
+@given(random_models(), st.randoms(use_true_random=False))
+def test_open_sums_on_random_models(model_and_graph, rnd):
+    assert_open_sums(*model_and_graph, rnd)
+
+
+def broken(witness):
+    """The witness itself, then every function one change away from it: a
+    vertex zeroed, one colour dropped, one unit of weight taken off."""
+    yield witness
+    k = witness.k
+    if isinstance(witness, RainbowFunction):
+        labels = witness.labels
+        for v, lab in enumerate(labels):
+            if lab:
+                yield RainbowFunction(k, labels[:v] + (frozenset(),) + labels[v + 1:])
+                if len(lab) > 1:
+                    yield RainbowFunction(k, labels[:v] + (lab - {min(lab)},) + labels[v + 1:])
+    else:
+        ws = witness.weights
+        for v, x in enumerate(ws):
+            if x:
+                yield WeightFunction(k, ws[:v] + (0,) + ws[v + 1:])
+                if x > 1:
+                    yield WeightFunction(k, ws[:v] + (x - 1,) + ws[v + 1:])
+
+
+def test_check_witness_same_on_model_and_graph():
+    """For every supported problem on the small models, the solver's
+    witness, the same witness against a wrong value and every witness one
+    change away from it get the same verdict, word for word, on the model
+    as on its graph."""
+    rng = random.Random(1)
+    verdicts = set()
+    for cls, model, g in small_models(6, 6):
+        for problem, solve in REGISTRY[cls].solvers.items():
+            k = 2 if cls in ("interval", "permutation") else rng.randint(1, 3)
+            j = rng.randint(1, k)
+            L = None
+            if cls == "complete-bipartite":
+                model = BipartiteInstance.from_labels(
+                    k, [rng.randint(0, k) for _ in range(model.n1)],
+                    [rng.randint(0, k) for _ in range(model.n2)])
+                L = model.assignment()
+            elif problem == "weakL":  # floors a below 2 keep some vertices at zero
+                L = KAssignment(k, tuple((rng.randint(0, min(k, 1)), rng.randint(0, k))
+                                         for _ in range(g.n)))
+            try:
+                value, witness = solve(model, k, j, L)
+            except InfeasibleInstance:  # (j, k) with j too small for a leaf
+                continue
+            for f, claim in [(witness, value + 1)] + [(f, value) for f in broken(witness)]:
+                got = check_witness(problem, model, claim, f, j, L)
+                assert got == check_witness(problem, g, claim, f, j, L), (cls, problem, f)
+                verdicts.add(got if got is None else got.split()[1])
+    assert verdicts == {None, "fails", "costs"}

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,3 +175,53 @@ def test_check_witness_wrong_cost(c6):
 
 def test_check_witness_missing(c6):
     assert check_witness("weak", c6, 3, None) == "no witness"
+
+
+def first_violation(n, bad):
+    """What a validator must return: (False, the first v with bad(v)), or
+    (True, None) when there is none."""
+    v = next((v for v in range(n) if bad(v)), None)
+    return v is None, v
+
+
+@st.composite
+def functions_on_graphs(draw):
+    """A random graph on up to 70 vertices and, for k up to 8, labels,
+    weights, floors and a cap j, with a drawn share of vertices left at 0."""
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p, used = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    k = draw(st.integers(1, 8))
+    labels = tuple(frozenset(c for c in range(1, k + 1) if rng.random() < 0.5)
+                   if rng.random() < used else frozenset() for _ in range(n))
+    weights = tuple(rng.randint(0, k) if rng.random() < used else 0 for _ in range(n))
+    floors = tuple((rng.randint(0, k) if rng.random() < 0.2 else 0, rng.randint(0, k))
+                   for _ in range(n))
+    return g, k, labels, weights, floors, rng.randint(1, k)
+
+
+@given(functions_on_graphs())
+def test_validators_match_the_definitions(case):
+    """The open-sum validators against the rules read off each vertex's
+    neighbour set, first violating vertex included."""
+    g, k, labels, weights, floors, j = case
+    w = WeightFunction(k, weights)
+
+    def colours_seen(v):
+        return frozenset().union(*(labels[u] for u in g.neighbors(v)))
+
+    def weight_seen(v):
+        return sum(weights[u] for u in g.neighbors(v))
+
+    assert is_rainbow(g, RainbowFunction(k, labels)) == first_violation(
+        g.n, lambda v: not labels[v] and len(colours_seen(v)) < k)
+    assert is_weak_k(g, w) == first_violation(
+        g.n, lambda v: weights[v] == 0 and weight_seen(v) < k)
+    kdom = first_violation(g.n, lambda v: weights[v] + weight_seen(v) < k)
+    assert is_k_dom(g, w) == kdom
+    capped = first_violation(g.n, lambda v: weights[v] > j)
+    assert is_jk_dom(g, w, j) == (kdom if capped[0] else capped)
+    assert is_weak_kL(g, w, KAssignment(k, floors)) == first_violation(
+        g.n, lambda v: weights[v] < floors[v][0]
+        or (weights[v] == 0 and weight_seen(v) < floors[v][1]))
