@@ -90,7 +90,7 @@ class Cotree:
     'J' (union or join of ``left[v]`` and ``right[v]``), or 'S' (spider
     ``spider[v]``, whose head subtree is ``left[v]``, or -1 without a
     head).  Leaves and spider feet and bodies carry the vertices 0..n-1,
-    each once; ``n_leaves`` is n.
+    each once; ``n`` is their count.
 
     Node ids are a bottom-up order: every child id is below its parent's,
     every node but the root has one parent, and the root is the last id.
@@ -101,7 +101,7 @@ class Cotree:
     """
 
     __slots__ = ("kind", "left", "right", "leaf_vertex", "spider", "root", "size",
-                 "n_leaves", "seq", "start")
+                 "n", "seq", "start")
 
     def __init__(self, kind, left, right, leaf_vertex, root, spider=None):
         nk = len(kind)
@@ -132,7 +132,7 @@ class Cotree:
                 size[v] += size[c]
         if parents.count(1) != nk - 1:
             raise ValueError("every node but the root needs exactly one parent")
-        n = self.n_leaves = size[root]
+        n = self.n = size[root]
         seq = self.seq = [-1] * n
         start = self.start = [0] * nk
         for v in reversed(range(nk)):
@@ -159,10 +159,6 @@ class Cotree:
                     head = tuple(seq[s + 2 * len(sp.feet):s + size[v]])
                     spider[v] = SpiderPartition(sp.kind, sp.feet, sp.body, head)
 
-    @property
-    def n(self) -> int:
-        return self.n_leaves
-
     def open_sums(self, x) -> list:
         """Per vertex, the sum of ``x`` over its neighbours, in O(n) and
         without an edge.  Top down, ``out[v]`` is what every vertex of
@@ -179,7 +175,7 @@ class Cotree:
             return pre[start[v] + size[v]] - pre[start[v]]
 
         out = [0] * len(kind)
-        sums = [0] * self.n_leaves
+        sums = [0] * self.n
         for v in reversed(range(len(kind))):
             kv, o = kind[v], out[v]
             if kv == "L":
@@ -407,7 +403,7 @@ def recognize_cograph(g: Graph):
 
 def cotree_to_graph(t: Cotree) -> Graph:
     seq, start, size = t.seq, t.start, t.size
-    adj: list[set[int]] = [set() for _ in range(t.n_leaves)]
+    adj: list[set[int]] = [set() for _ in range(t.n)]
     for v, kv in enumerate(t.kind):
         if kv == "J":
             a, b = t.left[v], t.right[v]
@@ -437,7 +433,7 @@ def cotree_to_graph(t: Cotree) -> Graph:
                     adj[f].discard(x)
                     adj[x].update(feet)
                     adj[x].discard(f)
-    return Graph(t.n_leaves, adj=adj)
+    return Graph(t.n, adj=adj)
 
 
 # --- rainbow DP --------------------------------------------------------------
@@ -463,14 +459,14 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
             rm[v] = min(rm[a] + size[b], rm[b] + size[a], rm[a] + rm[b])
         else:
             rm[v] = min(rp[a], rp[b], rm[a], rm[b], 2 * k)
-    value = min(t.n_leaves, rm[t.root])
+    value = min(t.n, rm[t.root])
     assert value != INF
     value = int(value)
     if not want_witness:
         return value, None
 
     seq, start = t.seq, t.start
-    labels: list[frozenset[int]] = [frozenset()] * t.n_leaves
+    labels: list[frozenset[int]] = [frozenset()] * t.n
 
     def leaves(node: int) -> list[int]:
         return seq[start[node]:start[node] + size[node]]
@@ -497,7 +493,7 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     while stack:
         node, mode = stack.pop()
         if mode == "root":
-            if t.n_leaves <= rm[t.root]:
+            if t.n <= rm[t.root]:
                 fill_singletons(node)
             else:
                 stack.append((node, "minus"))
@@ -606,7 +602,7 @@ def _weight_dp(t: Cotree, k: int, leaf_value, want_witness: bool):
     if not want_witness:
         return value, None
 
-    weights = [0] * t.n_leaves
+    weights = [0] * t.n
     # realize(node, q, target): target >= table[q], target <= k * size
     stack = [(t.root, 0, value)]
     while stack:

@@ -70,10 +70,16 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
-    def open_sums(self, x: Sequence[int]) -> _NeighbourSums:
+    def open_sums(self, x: Sequence[int]) -> list[int]:
         """Per vertex, the sum of ``x`` over its neighbours (the adjacency
-        matrix times x), each summed only when it is read."""
-        return _NeighbourSums(self._adj, x)
+        matrix times x); only the vertices where x is nonzero add."""
+        sums = [0] * self.n
+        adj = self._adj
+        for v, xv in enumerate(x):
+            if xv:
+                for u in adj[v]:
+                    sums[u] += xv
+        return sums
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -163,24 +169,6 @@ class Graph:
         if hasattr(self, "_adj"):
             raise AttributeError("Graph is immutable")
         object.__setattr__(self, name, value)
-
-
-class _NeighbourSums:
-    """``Graph.open_sums``: item v sums x over v's neighbours when it is
-    read, so a validator pays only for the vertices its rule reads.  Only
-    the vertices where x is nonzero add anything, and a set intersection
-    walks the smaller of the two sets."""
-
-    __slots__ = ("_adj", "_x", "_support")
-
-    def __init__(self, adj, x: Sequence[int]):
-        self._adj = adj
-        self._x = x
-        self._support = {v for v, xv in enumerate(x) if xv}
-
-    def __getitem__(self, v: int) -> int:
-        x = self._x
-        return sum([x[u] for u in self._adj[v] & self._support])
 
 
 def parse_graph(text: str) -> Graph:

@@ -109,25 +109,43 @@ def _require_defined(g, size: int) -> None:
         raise ValueError(f"function defined on {size} vertices, graph has {g.n}")
 
 
+# A packed colour sum stays under about this many bits, so an open sum
+# holds a bounded number of words per vertex whatever k is; a larger k
+# takes more open sums.
+_PACK_BITS = 1024
+
+
 def is_rainbow(g, f: RainbowFunction) -> tuple[bool, int | None]:
     """True iff every empty-labeled vertex sees all k colors around it.
 
-    Colour c of a vertex is bit field c - 1 of one integer, so one open
-    sum counts every colour's neighbours at once.  A field is wide enough
-    for n - 1 neighbours below its top bit, so adding 2^(width-1) - 1 to
-    each field sets its top bit exactly when its count is positive."""
+    Each colour of a chunk is a bit field of one integer, so one open sum
+    counts the neighbours of every colour in the chunk.  A field is wide
+    enough for n - 1 neighbours below its top bit, so adding 2^(width-1) - 1
+    to each field sets its top bit exactly when its count is positive.
+    Later chunks only look at the empty vertices before the first one that
+    failed."""
     _require_defined(g, len(f.labels))
+    empty = [v for v, lab in enumerate(f.labels) if not lab]
+    first = None
     width = g.n.bit_length() + 1
-    bit = [0] + [1 << (c * width) for c in range(f.k)]
-    ones = sum(bit)
-    top = ones << (width - 1)
-    fill = top - ones
-    packed = {lab: sum([bit[c] for c in lab]) for lab in set(f.labels)}
-    sums = g.open_sums([packed[lab] for lab in f.labels])
-    for v, lab in enumerate(f.labels):
-        if not lab and (sums[v] + fill) & top != top:
-            return False, v
-    return True, None
+    per = max(1, _PACK_BITS // width)
+    distinct = set(f.labels)
+    for lo in range(1, f.k + 1, per):
+        if not empty:
+            break
+        hi = min(lo + per, f.k + 1)
+        ones = sum([1 << (i * width) for i in range(hi - lo)])
+        top = ones << (width - 1)
+        fill = top - ones
+        packed = {lab: sum([1 << ((c - lo) * width) for c in lab if lo <= c < hi])
+                  for lab in distinct}
+        sums = g.open_sums([packed[lab] for lab in f.labels])
+        for i, v in enumerate(empty):
+            if (sums[v] + fill) & top != top:
+                first = v
+                del empty[i:]
+                break
+    return (True, None) if first is None else (False, first)
 
 
 def is_weak_k(g, w: WeightFunction) -> tuple[bool, int | None]:

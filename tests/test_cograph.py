@@ -30,7 +30,7 @@ from rainbowdom.cograph import (
 
 def test_parse_simple():
     t = parse_cotree("(U 0 1)")
-    assert t.n_leaves == 2 and t.kind[t.root] == "U"
+    assert t.n == 2 and t.kind[t.root] == "U"
     t = parse_cotree("(J 0 (J 1 2))")
     assert cotree_to_graph(t).m == 3  # K3
 
@@ -197,7 +197,7 @@ def test_array_built_deep_caterpillar():
         leaf += [v, -1]
         acc += 2
     t = Cotree(kind, left, right, leaf, acc)
-    assert t.n_leaves == depth + 1
+    assert t.n == depth + 1
     g = cotree_to_graph(t)
     shallow = recognize_cograph(g)
     for problem, solver in (("rainbow", rainbow_cograph), ("weak", weak_cograph)):

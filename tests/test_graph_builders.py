@@ -114,7 +114,7 @@ def test_p4sparse_to_graph_and_leaf_spans(text):
             edges += [(f, x) for i, f in enumerate(sp.feet) for j, x in enumerate(sp.body)
                       if (i == j) == (sp.kind == "thin")]
             edges += [(h, x) for h in sp.head for x in sp.body]
-    assert_same_graph(cotree_to_graph(tree), tree.n_leaves, edges)
+    assert_same_graph(cotree_to_graph(tree), tree.n, edges)
 
 
 @SETTINGS
@@ -247,9 +247,8 @@ def assert_open_sums(model, g: Graph, rng) -> None:
     for density in (1.0, 0.3):
         x = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(g.n)]
         want = [sum(x[u] for u in g.neighbors(v)) for v in range(g.n)]
-        sums = g.open_sums(x)
-        assert [sums[v] for v in range(g.n)] == want
-        assert list(model.open_sums(x)) == want
+        assert g.open_sums(x) == want
+        assert model.open_sums(x) == want
 
 
 def relabel_tree(t: Cotree, perm) -> Cotree:
@@ -384,3 +383,26 @@ def test_check_witness_same_on_model_and_graph():
                 assert got == check_witness(problem, g, claim, f, j, L), (cls, problem, f)
                 verdicts.add(got if got is None else got.split()[1])
     assert verdicts == {None, "fails", "costs"}
+
+
+def test_rainbow_check_at_large_k_same_on_model_and_graph():
+    """At k = 1000 the colours take several packed open sums; on a cotree
+    and a rooted forest of stars, whose solver witnesses leave vertices
+    empty, every witness one change away (a colour of any chunk dropped)
+    gets the graph's verdict."""
+    k = 1000
+    star = [-1 if v % 1200 == 0 else v - v % 1200 for v in range(2400)]
+    forest = RootedTreeModel(star)
+    tree = forest.to_cotree()
+    for cls, model in (("trivially-perfect", forest), ("cograph", tree)):
+        g = forest.derived_graph()
+        value, witness = REGISTRY[cls].solvers["rainbow"](model, k, None, None)
+        assert value == 2 * k and check_witness("rainbow", model, value, witness) is None
+        labels = witness.labels
+        for v, lab in enumerate(labels):
+            if lab:
+                for c in (1, 500, k):
+                    f = RainbowFunction(k, labels[:v] + (lab - {c},) + labels[v + 1:])
+                    want = check_witness("rainbow", g, value - 1, f)
+                    assert want is not None
+                    assert check_witness("rainbow", model, value - 1, f) == want

@@ -99,7 +99,7 @@ def _value_one_too_high(solver):
     def broken(tree, k, j, L):
         v, w = solver(tree, k, j, L)
         # corrupt the value on joins of two multi-vertex parts
-        if tree.kind[tree.root] == "J" and tree.n_leaves >= 4:
+        if tree.kind[tree.root] == "J" and tree.n >= 4:
             return v + 1, w
         return v, w
     return broken

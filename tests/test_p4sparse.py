@@ -28,7 +28,7 @@ def test_parse_and_render():
     text = "(U (S thin (0 1) (2 3)) (J 4 5))"
     t = parse_cotree(text)
     assert t.to_text() == text
-    assert t.n_leaves == 6
+    assert t.n == 6
 
 
 def test_parse_spider_with_head():

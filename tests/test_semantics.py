@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from rainbowdom import semantics
 from rainbowdom.graph import Graph
 from rainbowdom.semantics import (
     KAssignment,
@@ -225,3 +226,19 @@ def test_validators_match_the_definitions(case):
     assert is_weak_kL(g, w, KAssignment(k, floors)) == first_violation(
         g.n, lambda v: weights[v] < floors[v][0]
         or (weights[v] == 0 and weight_seen(v) < floors[v][1]))
+
+
+@given(st.integers(8, 40), st.integers(250, 500), st.integers(0, 2**32 - 1))
+def test_rainbow_at_large_k_matches_the_definition(n, k, seed):
+    """k large enough that the colours take several packed open sums
+    (``semantics._PACK_BITS`` bits each): the verdict and the first violator
+    are the definition's, whichever chunk holds the missing colour."""
+    assert k * (n.bit_length() + 1) > semantics._PACK_BITS
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+    full = frozenset(range(1, k + 1))
+    labels = tuple(full - {rng.randint(1, k)} if rng.random() < 0.5 else frozenset()
+                   for _ in range(n))
+    seen = [frozenset().union(*(labels[u] for u in g.neighbors(v))) for v in range(n)]
+    assert is_rainbow(g, RainbowFunction(k, labels)) == first_violation(
+        n, lambda v: not labels[v] and seen[v] != full)

@@ -49,7 +49,7 @@ def test_to_cotree_encodes_the_derived_graph():
     assert cotree_to_graph(path.to_cotree()) == path.derived_graph()
     path = RootedTreeModel([-1] + list(range(4999)))
     t = path.to_cotree()
-    assert t.n_leaves == 5000
+    assert t.n == 5000
     for k in (1, 2, 3):
         value, f = rainbow_cograph(t, k)
         assert value == gamma_wk_tp(path, k)[0] == k
