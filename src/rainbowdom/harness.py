@@ -5,8 +5,8 @@ Instance generators enumerate each solver's true input space directly
 (cotrees, decomposition trees, rooted forests, interval models,
 permutations) rather than filtering arbitrary graphs.  Interval graphs are
 enumerated by extension closure -- every such graph minus a vertex is again
-one -- with isomorphism-class deduplication and a consecutive-ones test
-over the maximal cliques.
+one -- with isomorphism-class deduplication and a search for a vertex
+order whose last-neighbour intervals give the model.
 
 Every class solver is reached through the (class, problem) table of
 ``rainbowdom.registry``, so the checks certify the entries ``solve`` runs.
@@ -259,86 +259,55 @@ def enumerate_rooted_forests(max_n: int):
 # --- interval graph enumeration ------------------------------------------------
 
 
-def _maximal_cliques(g: Graph):
-    cliques = []
+def _interval_model(g: Graph) -> IntervalModel | None:
+    """An interval model of g, or None when g is not an interval graph.
 
-    def bk(r: set, p: set, x: set):
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda v: len(g.neighbors(v) & p), default=None)
-        for v in sorted(p - (g.neighbors(pivot) if pivot is not None else set())):
-            bk(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
-            p = p - {v}
-            x = x | {v}
+    g is interval exactly when its vertices have an order in which
+    u < v < w and uw an edge imply uv an edge (Olariu 1991); vertex v then
+    gets the interval from its position to its last neighbour's.  The
+    order is built left to right on neighbour bitmasks: w may come next
+    exactly when it sees every placed vertex that still has an unplaced
+    neighbour.  That rule reads nothing but the placed set, so a placed
+    set that failed once is never searched again: at most 2^n sets, meant
+    for small n."""
+    n = g.n
+    nbr = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+    full = (1 << n) - 1
+    order: list[int] = []
+    failed: set[int] = set()
 
-    bk(set(), set(range(g.n)), set())
-    return cliques
-
-
-def _consecutive_clique_order(g: Graph):
-    """An ordering of the maximal cliques in which every vertex's cliques
-    are contiguous, or None.  Backtracking with an open/closed vertex
-    prune; intended for small clique counts."""
-    cliques = _maximal_cliques(g)
-    t = len(cliques)
-    state = [0] * g.n  # 0 unseen, 1 open, 2 closed
-    orderout: list[int] = []
-    used = [False] * t
-
-    def rec() -> bool:
-        if len(orderout) == t:
+    def extend(placed: int) -> bool:
+        if placed == full:
             return True
-        for ci in range(t):
-            if used[ci]:
-                continue
-            K = cliques[ci]
-            if any(state[v] == 2 for v in K):
-                continue
-            closed_now = [
-                v for v in range(g.n) if state[v] == 1 and v not in K
-            ]
-            opened_now = [v for v in K if state[v] == 0]
-            for v in closed_now:
-                state[v] = 2
-            for v in K:
-                state[v] = 1
-            used[ci] = True
-            orderout.append(ci)
-            if rec():
-                return True
-            orderout.pop()
-            used[ci] = False
-            for v in opened_now:
-                state[v] = 0
-            for v in closed_now:
-                state[v] = 1
+        if placed in failed:
+            return False
+        unplaced = full & ~placed
+        allowed = unplaced
+        for u in order:
+            if nbr[u] & unplaced:
+                allowed &= nbr[u]
+        for w in range(n):
+            if allowed >> w & 1:
+                order.append(w)
+                if extend(placed | 1 << w):
+                    return True
+                order.pop()
+        failed.add(placed)
         return False
 
-    if not rec():
+    if not extend(0):
         return None
-    return [cliques[i] for i in orderout]
-
-
-def model_from_clique_order(order, n: int) -> IntervalModel:
-    first = [None] * n
-    last = [None] * n
-    for i, K in enumerate(order):
-        for v in K:
-            if first[v] is None:
-                first[v] = i
-            last[v] = i
-    return IntervalModel(tuple((first[v], last[v]) for v in range(n)))
-
-
-_interval_cache: dict[int, list] = {}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return IntervalModel(tuple(
+        (pos[v], max(pos[u] for u in g.neighbors(v) | {v})) for v in range(n)
+    ))
 
 
 def enumerate_interval_models(max_n: int):
     """One interval model per isomorphism class of interval graphs, for
     every size up to max_n, by single-vertex extension closure."""
-    if max_n in _interval_cache:
-        return list(_interval_cache[max_n])
     levels: list[list[tuple[Graph, IntervalModel]]] = []
     k1 = Graph(1)
     levels.append([(k1, IntervalModel(((0, 0),)))])
@@ -351,16 +320,11 @@ def enumerate_interval_models(max_n: int):
                     (v, g_prev.n) for v in range(g_prev.n) if mask >> v & 1
                 ]
                 g = Graph(n, edges)
-                order = _consecutive_clique_order(g)
-                if order is None:
-                    continue
-                coll.add(g, model_from_clique_order(order, n))
-        levels.append([(g, m) for g, m in coll.items])
-    out = []
-    for level in levels:
-        out.extend(level)
-    _interval_cache[max_n] = out
-    return list(out)
+                model = _interval_model(g)
+                if model is not None:
+                    coll.add(g, model)
+        levels.append(coll.items)
+    return [pair for level in levels for pair in level]
 
 
 # --- plan / report machinery ---------------------------------------------------
@@ -427,17 +391,21 @@ def _is_int(value) -> bool:
 
 def _check_param(name: str, key: str, value) -> None:
     """Raise ValueError unless ``key`` is a declared parameter of the check
-    and the value is of its kind and at least its least value."""
+    and the value is of its kind and at least its least value.  A float
+    default makes a number parameter, which takes an int or a float."""
     declared = DECLARATIONS[name].params
     if key not in declared:
         raise ValueError(f"{name} has no parameter {key!r}")
     default, least = declared[key]
     is_list = isinstance(default, list)
+    is_number = isinstance(default, float)
     values = value if is_list and isinstance(value, list) else [value]
     if is_list != isinstance(value, list) or not values or not all(
-        _is_int(v) and v >= least for v in values
+        (_is_int(v) or is_number and isinstance(v, float)) and v >= least
+        for v in values
     ):
-        what = "a non-empty list of integers" if is_list else "an integer"
+        what = ("a non-empty list of integers" if is_list
+                else "a number" if is_number else "an integer")
         raise ValueError(f"{name} parameter {key!r} must be {what} >= {least}")
 
 

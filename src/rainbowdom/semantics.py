@@ -89,11 +89,9 @@ class KAssignment:
                 raise ValueError(f"assignment of vertex {v} outside 0..{self.k}")
 
     @staticmethod
-    def uniform(k: int, n: int, a: int = 0, b: int | None = None) -> "KAssignment":
-        """The assignment giving every vertex the same pair; b defaults to k."""
-        if b is None:
-            b = k
-        return KAssignment(k, tuple((a, b) for _ in range(n)))
+    def uniform(k: int, n: int) -> "KAssignment":
+        """The assignment giving every vertex the pair (0, k)."""
+        return KAssignment(k, ((0, k),) * n)
 
 
 def rainbow_cost(f: RainbowFunction) -> int:

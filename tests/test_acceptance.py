@@ -97,7 +97,8 @@ def test_criterion_6_trivially_perfect_certification():
 
 
 def test_criterion_7_interval_certification():
-    _run(7, 1800.0, check_interval_cert, {"max_n": 8})
+    result = _run(7, 1800.0, check_interval_cert, {"max_n": 8})
+    assert result.detail == "2312 interval classes"
 
 
 def test_criterion_8_permutation_certification():

@@ -348,6 +348,7 @@ def test_bad_oracle_cap_env_exit_2(tmp_path, monkeypatch, cap):
     ("cograph_cert", {"max_leafs": 3}),
     ("reference_constants", {"max_n": [5]}),
     ("no_such_check", {}),
+    ("perf_gates", {"tp_budget": -0.5}),
 ])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_out_of_range_plan_exit_2(tmp_path, check, params, workers):

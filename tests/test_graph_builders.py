@@ -260,11 +260,10 @@ def relabel_tree(t: Cotree, perm) -> Cotree:
                   [perm[x] if x != -1 else -1 for x in t.leaf_vertex], t.root, spider)
 
 
-def small_models(max_n: int, max_interval_n: int):
+def small_models(max_n: int):
     """(class, model, graph) for every model the certification enumerators
-    give up to max_n vertices (interval classes up to max_interval_n), every
-    permutation of up to max_n elements and the complete bipartite graphs
-    with sides of up to 3."""
+    give up to max_n vertices, every permutation of up to max_n elements and
+    the complete bipartite graphs with sides of up to 3."""
     for t, g in enumerate_cographs(max_n):
         yield "cograph", t, g
     for t, g in enumerate_p4sparse_trees(max_n):
@@ -272,7 +271,7 @@ def small_models(max_n: int, max_interval_n: int):
             yield "p4sparse", t, g
     for m in enumerate_rooted_forests(max_n):
         yield "trivially-perfect", m, m.derived_graph()
-    for g, m in enumerate_interval_models(max_interval_n):
+    for g, m in enumerate_interval_models(max_n):
         yield "interval", m, g
     for n in range(max_n + 1):
         for pi in permutations(range(n)):
@@ -283,10 +282,9 @@ def small_models(max_n: int, max_interval_n: int):
                    complete_bipartite_graph(n1, n2))
 
 
-# interval classes stop at 7 vertices: enumerating those on 8 takes minutes
 def test_open_sums_on_enumerated_models():
     rng = random.Random(0)
-    for _cls, model, g in small_models(8, 7):
+    for _cls, model, g in small_models(8):
         assert_open_sums(model, g, rng)
 
 
@@ -361,7 +359,7 @@ def test_check_witness_same_on_model_and_graph():
     as on its graph."""
     rng = random.Random(1)
     verdicts = set()
-    for cls, model, g in small_models(6, 6):
+    for cls, model, g in small_models(6):
         for problem, solve in REGISTRY[cls].solvers.items():
             k = 2 if cls in ("interval", "permutation") else rng.randint(1, 3)
             j = rng.randint(1, k)

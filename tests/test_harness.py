@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from rainbowdom.harness import (
     DECLARATIONS,
     CertificationPlan,
     CertificationReport,
+    _interval_model,
     check_cograph_cert,
     default_plan,
     enumerate_cographs,
@@ -23,6 +25,7 @@ from rainbowdom.harness import (
     sweep_global_invariants,
 )
 from rainbowdom.generators import generate
+from rainbowdom.interval import interval_graph
 from rainbowdom.registry import REGISTRY
 import random
 
@@ -46,9 +49,68 @@ def test_forest_counts_match_published_sequence():
 
 def test_interval_counts_match_published_sequence():
     by_n = {}
-    for g, m in enumerate_interval_models(6):
+    for g, m in enumerate_interval_models(7):
         by_n[g.n] = by_n.get(g.n, 0) + 1
-    assert [by_n[i] for i in range(1, 7)] == [1, 2, 4, 10, 27, 92]
+        assert interval_graph(m) == g
+    assert [by_n[i] for i in range(1, 8)] == [1, 2, 4, 10, 27, 92, 369]
+
+
+def _is_interval_by_lekkerkerker_boland(g):
+    """Chordal (simplicial vertices can be removed until none is left) and
+    free of asteroidal triples: three pairwise non-adjacent vertices, each
+    two joined by a path that avoids the closed neighbourhood of the third."""
+    left = set(range(g.n))
+    while left:
+        simplicial = next((v for v in left if all(
+            g.has_edge(a, b) for a, b in combinations(g.neighbors(v) & left, 2)
+        )), None)
+        if simplicial is None:
+            return False
+        left.discard(simplicial)
+
+    def joined(a, b, avoid):
+        seen, stack = {a}, [a]
+        while stack:
+            for u in g.neighbors(stack.pop()) - avoid - seen:
+                seen.add(u)
+                stack.append(u)
+        return b in seen
+
+    for a, b, c in combinations(range(g.n), 3):
+        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+            continue
+        if all(joined(x, y, g.neighbors(z) | {z})
+               for x, y, z in ((a, b, c), (a, c, b), (b, c, a))):
+            return False
+    return True
+
+
+def _assert_interval_model_matches_reference(g):
+    model = _interval_model(g)
+    assert (model is not None) == _is_interval_by_lekkerkerker_boland(g), g.edges
+    if model is not None:
+        assert interval_graph(model) == g
+
+
+def test_interval_model_on_every_labelled_graph_up_to_5():
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            _assert_interval_model_matches_reference(Graph(n, edges))
+
+
+def test_interval_model_on_random_graphs():
+    rng = random.Random(16)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(6, 9)
+        p = rng.random()
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        _assert_interval_model_matches_reference(g)
+        found += _interval_model(g) is not None
+    # both answers are exercised
+    assert 200 < found < 1800
 
 
 def test_p4sparse_trees_cover_p4():
@@ -233,6 +295,17 @@ def test_pool_works_under_spawn(tmp_path):
 def test_malformed_plan_rejected(doc):
     with pytest.raises(ValueError):
         CertificationPlan.from_json(json.dumps(doc))
+
+
+def test_number_parameters_take_ints_and_floats():
+    doc = {"checks": [{"name": "perf_gates",
+                       "params": {"tp_budget": 2.5, "cograph_budget": 1}}]}
+    plan = CertificationPlan.from_json(json.dumps(doc))
+    assert plan.checks == (("perf_gates", {"tp_budget": 2.5, "cograph_budget": 1}),)
+    for value in ("2", True, -1.0):
+        doc["checks"][0]["params"] = {"tp_budget": value}
+        with pytest.raises(ValueError, match="must be a number >= 0"):
+            CertificationPlan.from_json(json.dumps(doc))
 
 
 def test_builtin_plans_keep_the_parameter_rules():
