@@ -13,9 +13,23 @@ colors and every head vertex sees it, so the head stays empty.  A thin
 spider with |S| feet costs |S| - 1 + k (one foot empty, its partner
 carries all colors); a thick one costs k + 1 (one body vertex carries
 all colors, its excluded foot takes a single color).
-``weak_cograph`` and ``kdom_cograph`` tabulate, for q in {0..k}, the
-cheapest weight vector valid when the outside already contributes q to
-every neighborhood sum; they take trees without spider nodes.
+``weak_cograph`` and ``kdom_cograph`` take trees without spider nodes.
+They tabulate T(q) for q in {0..k}: the cheapest weight on a subtree when
+the outside already adds q to every neighborhood sum (help beyond k
+counts as k).  T is non-increasing with T(k) = 0, and any total from T(q)
+up to k per vertex is reached by padding.  A union adds its sides'
+tables.  A join of sides A and B with totals c1 and c2 lends each side
+the other's total, so it needs A(q + c2) <= c1 and B(q + c1) <= c2.
+With need(c2) the least help at which B is at most c2, the cheapest c1
+for a given c2 is max(A(q + c2), need(c2) - q), which never exceeds
+k|A|, so
+
+    T(q) = min over c2 in 0..min(2k, k|B|) of c2 + max(A(q + c2), need(c2) - q).
+
+Weight k on one vertex of each side always works, so 2k bounds c2; and
+the scan over c2 stops once c2 reaches the best total found, since no
+later total is below its c2.  The first c2 that reaches the minimum is
+stored per node and q, and the witness reads each split back from it.
 
 A tree's node ids are its bottom-up order (children below their parent,
 the root last), and the constructor stores every node's size and leaf
@@ -488,7 +502,6 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
             for i in range(1, m):
                 labels[ls[i]] = frozenset({i + 1})
 
-    full = frozenset(range(1, k + 1))
     stack = [(t.root, "root")]
     while stack:
         node, mode = stack.pop()
@@ -510,7 +523,7 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
                 # a body vertex carries all colors; thin: every other foot
                 # takes a single color; thick: only its excluded foot does
                 sp = t.spider[node]
-                labels[sp.body[0]] = full
+                labels[sp.body[0]] = frozenset(range(1, k + 1))
                 for f in sp.feet[1:] if sp.kind == "thin" else sp.feet[:1]:
                     labels[f] = frozenset({1})
                 continue
@@ -534,8 +547,8 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
                 )
                 _, (ma, mb) = min(branches, key=lambda x: x[0])
                 if ma == "kk":
-                    labels[seq[start[a]]] = full
-                    labels[seq[start[b]]] = full
+                    full = frozenset(range(1, k + 1))
+                    labels[seq[start[a]]] = labels[seq[start[b]]] = full
                 else:
                     stack.append((a, ma))
                     stack.append((b, mb))
@@ -547,110 +560,87 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
 # --- weight DPs ---------------------------------------------------------------
 
 
-def _join_best(w1, w2, q, k, cap1, cap2):
-    """Cheapest feasible split (total, c1, c2) of a join node's cost given
-    outside help q.
-
-    A split is feasible when each side's table, consulted with the other
-    side's total added to the help, asks for no more than that side's
-    budget; budgets beyond a side's minimum are realizable by padding.
-    The join optimum never exceeds 2k (one max-weight vertex per side), so
-    budgets are scanned over the 2k-by-2k grid, capped by side capacity.
-    """
-    best = None
-    for c2 in range(cap2 + 1):
-        need1 = w1[q + c2 if q + c2 < k else k]
-        if need1 > cap1:
-            continue
-        for c1 in range(need1, cap1 + 1):
-            if best is not None and c1 + c2 >= best[0]:
+def _join(ta, tb, k, cap2):
+    """A join's table, and the c2 it picks for each q, from its sides'
+    tables ta and tb; cap2 bounds side b's total."""
+    need = []  # need[c]: least help at which tb is at most c
+    h = k
+    for c in range(cap2 + 1):
+        while h and tb[h - 1] <= c:
+            h -= 1
+        need.append(h)
+    pad = ta + [0] * cap2  # help beyond k counts as k, and ta[k] = 0
+    table, picks = [], []
+    for q in range(k + 1):
+        best, pick = INF, 0
+        for c2 in range(cap2 + 1):
+            if c2 >= best:
                 break
-            if w2[q + c1 if q + c1 < k else k] <= c2:
-                cand = (c1 + c2, c1, c2)
-                if best is None or cand < best:
-                    best = cand
-                break  # larger c1 only costs more for this c2
-    assert best is not None, "a join always admits a split of cost <= 2k"
-    return best
+            c1 = pad[q + c2]
+            if need[c2] - q > c1:
+                c1 = need[c2] - q
+            if c1 + c2 < best:
+                best, pick = c1 + c2, c2
+        table.append(best)
+        picks.append(pick)
+    return table, picks
 
 
-def _weight_dp(t: Cotree, k: int, leaf_value, want_witness: bool):
-    """Shared table machinery for the weak {k} and {k} variants.
+def _weight_dp(t: Cotree, k: int, leaf: list, want_witness: bool):
+    """The weak {k} or {k} value and, if wanted, a witness.
 
-    leaf_value(q) gives the cheapest weight of a lone vertex whose
-    neighborhood already receives q from outside.
+    ``leaf[q]`` is the cheapest weight of a lone vertex whose
+    neighborhood already receives q from outside.  ``picks[v][q]`` is
+    the total that node v's right side takes; the left side takes the
+    rest of ``tables[v][q]``.
     """
-    size = t.size
-    tables: list[list[int]] = [None] * len(t.kind)  # type: ignore[list-item]
-    for v, kv in enumerate(t.kind):
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    kind, left, right, size = t.kind, t.left, t.right, t.size
+    tables: list = [leaf] * len(kind)
+    picks: list = [None] * len(kind)
+    for v, kv in enumerate(kind):
         if kv == "L":
-            tables[v] = [leaf_value(q) for q in range(k + 1)]
-        elif kv == "U":
-            ta, tb = tables[t.left[v]], tables[t.right[v]]
-            tables[v] = [ta[q] + tb[q] for q in range(k + 1)]
-        elif kv == "S":
+            continue
+        if kv == "S":
             raise ValueError("the weak {k} and {k} DPs take no spider nodes")
+        ta, tb = tables[left[v]], tables[right[v]]
+        if kv == "U":
+            tables[v] = [x + y for x, y in zip(ta, tb)]
+            picks[v] = tb
         else:
-            a, b = t.left[v], t.right[v]
-            cap1 = min(2 * k, k * size[a])
-            cap2 = min(2 * k, k * size[b])
-            tables[v] = [
-                _join_best(tables[a], tables[b], q, k, cap1, cap2)[0]
-                for q in range(k + 1)
-            ]
+            tables[v], picks[v] = _join(ta, tb, k, min(2 * k, k * size[right[v]]))
     value = tables[t.root][0]
     if not want_witness:
         return value, None
 
     weights = [0] * t.n
-    # realize(node, q, target): target >= table[q], target <= k * size
+    # realize(node, q, target): tables[node][q] <= target <= k * size
     stack = [(t.root, 0, value)]
     while stack:
         node, q, target = stack.pop()
-        if t.kind[node] == "L":
+        if kind[node] == "L":
             weights[t.leaf_vertex[node]] = target
             continue
-        a, b = t.left[node], t.right[node]
-        ta, tb = tables[a], tables[b]
-        if t.kind[node] == "U":
-            base1, base2 = ta[q], tb[q]
-            extra = target - base1 - base2
-            give1 = min(extra, k * t.size[a] - base1)
-            stack.append((a, q, base1 + give1))
-            stack.append((b, q, base2 + extra - give1))
-        else:
-            cap1 = min(2 * k, k * t.size[a])
-            cap2 = min(2 * k, k * t.size[b])
-            _, c1, c2 = _join_best(ta, tb, q, k, cap1, cap2)
-            extra = target - c1 - c2
-            give1 = min(extra, k * t.size[a] - c1)
-            stack.append((a, min(q + c2, k), c1 + give1))
-            stack.append((b, min(q + c1, k), c2 + extra - give1))
-    return value, weights
+        a, b = left[node], right[node]
+        c2 = picks[node][q]
+        c1 = tables[node][q] - c2
+        qa, qb = (min(q + c2, k), min(q + c1, k)) if kind[node] == "J" else (q, q)
+        extra = target - c1 - c2
+        give1 = min(extra, k * size[a] - c1)
+        stack.append((a, qa, c1 + give1))
+        stack.append((b, qb, c2 + extra - give1))
+    return value, WeightFunction(k, tuple(weights))
 
 
 def weak_cograph(t: Cotree, k: int, want_witness: bool = True):
     """Weak {k}-domination number of the encoded cograph, with witness."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    value, weights = _weight_dp(
-        t, k, lambda q: 0 if q >= k else 1, want_witness
-    )
-    if weights is None:
-        return value, None
-    return value, WeightFunction(k, tuple(weights))
+    return _weight_dp(t, k, [1] * k + [0], want_witness)
 
 
 def kdom_cograph(t: Cotree, k: int, want_witness: bool = True):
     """{k}-domination number: closed neighborhoods must reach k everywhere."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    value, weights = _weight_dp(
-        t, k, lambda q: max(0, k - q), want_witness
-    )
-    if weights is None:
-        return value, None
-    return value, WeightFunction(k, tuple(weights))
+    return _weight_dp(t, k, list(range(k, -1, -1)), want_witness)
 
 
 def random_cotree(n_leaves: int, seed: int) -> Cotree:

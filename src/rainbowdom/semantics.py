@@ -57,7 +57,7 @@ class RainbowFunction:
     def __post_init__(self):
         _check_k(self.k)
         for v, lab in enumerate(self.labels):
-            if not lab <= frozenset(range(1, self.k + 1)):
+            if lab and not (min(lab) >= 1 and max(lab) <= self.k):
                 raise ValueError(f"label of vertex {v} not within 1..{self.k}")
 
 

@@ -280,6 +280,38 @@ def test_registry_imports_neither_cli_nor_harness():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("cls, name, text", [
+    ("cograph", "p3.cotree", "(J (U 0 1) 2)\n"),
+    ("trivially-perfect", "p3.tree", "0 2\n1 2\n2 -1\n"),
+])
+def test_rainbow_at_huge_k_on_a_small_model(tmp_path, cls, name, text):
+    # nothing may grow with k: labels are checked by their extreme colours
+    # and the all-colour label is built only where it is placed.  The
+    # address-space limit makes a regression fail fast instead of
+    # filling the host's memory.
+    import os
+    import resource
+
+    import rainbowdom
+
+    (tmp_path / name).write_text(text)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdom.cli", "solve", "--problem", "rainbow",
+         "--k", str(10**8), "--class", cls, "--model", str(tmp_path / name)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "3"
+
+
 def test_weakL_tree_model_with_assignment(tmp_path):
     (tmp_path / "star.tree").write_text("0 -1\n1 0\n2 0\n3 0\n")
     (tmp_path / "L.assign").write_text("0 0 2\n1 0 2\n2 0 2\n3 0 2\n")

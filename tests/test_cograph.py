@@ -14,6 +14,7 @@ from rainbowdom.semantics import (
 )
 from rainbowdom.oracle import exact_rainbow, exact_weight_variant
 from rainbowdom.cograph import (
+    _join,
     Cotree,
     CographRefusal,
     CotreeParseError,
@@ -146,6 +147,57 @@ def test_weak_join_of_edgeless_sides():
     g = cotree_to_graph(t)
     for k in (1, 2, 3):
         assert weak_cograph(t, k)[0] == exact_weight_variant(g, "weak_k", k).value
+
+
+def _reference_join(ta, tb, k, size_a, size_b):
+    """Every q's cheapest feasible (c1, c2), by trying every pair of totals
+    up to 2k (weight k on one vertex of each side always works), with the
+    first c2 that reaches the minimum."""
+    table, picks = [], []
+    for q in range(k + 1):
+        best = None
+        for c2 in range(min(2 * k, k * size_b) + 1):
+            for c1 in range(min(2 * k, k * size_a) + 1):
+                if (ta[min(k, q + c2)] <= c1 and tb[min(k, q + c1)] <= c2
+                        and (best is None or c1 + c2 < best[0])):
+                    best = (c1 + c2, c2)
+        table.append(best[0])
+        picks.append(best[1])
+    return table, picks
+
+
+def _random_table(rng, k, size):
+    """A non-increasing table ending in 0, at most k per vertex."""
+    return sorted((rng.randint(0, k * size) for _ in range(k)), reverse=True) + [0]
+
+
+def test_join_matches_reference_on_random_tables():
+    rng = random.Random(17)
+    for _ in range(300):
+        k, size_a, size_b = rng.randint(1, 12), rng.randint(1, 4), rng.randint(1, 4)
+        ta, tb = _random_table(rng, k, size_a), _random_table(rng, k, size_b)
+        assert _join(ta, tb, k, min(2 * k, k * size_b)) == _reference_join(
+            ta, tb, k, size_a, size_b), (k, ta, tb)
+
+
+@pytest.mark.parametrize("leaf", ["weak", "kdom"])
+def test_join_matches_reference_on_random_cotrees(leaf):
+    rng = random.Random(23)
+    for _ in range(30):
+        t, k = random_cotree(rng.randint(2, 16), rng.randrange(10**6)), rng.randint(1, 12)
+        tables = [[1] * k + [0] if leaf == "weak" else list(range(k, -1, -1))] * len(t.kind)
+        for v, kv in enumerate(t.kind):
+            if kv == "L":
+                continue
+            a, b = t.left[v], t.right[v]
+            if kv == "U":
+                tables[v] = [x + y for x, y in zip(tables[a], tables[b])]
+                continue
+            want = _reference_join(tables[a], tables[b], k, t.size[a], t.size[b])
+            assert _join(tables[a], tables[b], k, min(2 * k, k * t.size[b])) == want
+            tables[v] = want[0]
+        solver = weak_cograph if leaf == "weak" else kdom_cograph
+        assert solver(t, k, want_witness=False)[0] == tables[t.root][0]
 
 
 def test_large_tree_fast():

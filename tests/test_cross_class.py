@@ -148,7 +148,7 @@ def test_tree_dps_match_trivially_perfect(n):
     cotree, p4tree = recognize_cograph(g), recognize_p4sparse(g)
     assert isinstance(cotree, Cotree) and isinstance(p4tree, Cotree)
     assert "S" not in p4tree.kind
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 64):
         value = gamma_wk_tp(model, k)[0]
         for tree in (cotree, p4tree):
             rv, f = rainbow_cograph(tree, k)
