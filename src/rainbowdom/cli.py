@@ -26,7 +26,7 @@ from .oracle import (
     OracleBudgetExceeded,
     OracleCapExceeded,
 )
-from .cograph import Cotree, CotreeBuilder, SpiderPartition
+from .cograph import Cotree
 from .trivially_perfect import parse_assignment
 from .gadgets import render_split_partition
 from .generators import FAMILIES, generate
@@ -230,12 +230,11 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     family = args.family
-    if family not in FAMILIES or family in ("union", "join"):
+    if family not in FAMILIES:
         _fail(f"unknown generator family {family!r}")
-    params = args.params
     try:
-        g, model = generate(family, *params, seed=args.seed)
-    except (ValueError, IndexError) as exc:
+        g, model = generate(family, *args.params, seed=args.seed)
+    except ValueError as exc:
         _fail(f"bad generator parameters: {exc}")
     out = args.out or family
     _write(out + ".graph", render_graph(g))
@@ -245,18 +244,9 @@ def cmd_generate(args) -> int:
         from .generators import BipartitePartition
 
         if isinstance(model, Cotree):
-            _write(out + ".cotree", model.to_text() + "\n")
-            written.append(out + ".cotree")
-        elif isinstance(model, SpiderPartition):
-            b = CotreeBuilder()
-            head_node = -1
-            if model.head:  # generated heads are edgeless
-                head_node = b.leaf(model.head[0])
-                for v in model.head[1:]:
-                    head_node = b.node("U", head_node, b.leaf(v))
-            node = b.spider_node(model, head_node)
-            _write(out + ".p4tree", b.tree(node).to_text() + "\n")
-            written.append(out + ".p4tree")
+            path = out + (".p4tree" if "S" in model.kind else ".cotree")
+            _write(path, model.to_text() + "\n")
+            written.append(path)
         elif isinstance(model, SplitPartition):
             _write(out + ".split", render_split_partition(model))
             written.append(out + ".split")

@@ -12,7 +12,9 @@ of a spider never affects the second: one body vertex carries all k
 colors and every head vertex sees it, so the head stays empty.  A thin
 spider with |S| feet costs |S| - 1 + k (one foot empty, its partner
 carries all colors); a thick one costs k + 1 (one body vertex carries
-all colors, its excluded foot takes a single color).
+all colors, its excluded foot takes a single color).  Each node stores
+the first branch that reaches its minimum, and the witness replays the
+stored branches from the root down.
 ``weak_cograph`` and ``kdom_cograph`` take trees without spider nodes.
 They tabulate T(q) for q in {0..k}: the cheapest weight on a subtree when
 the outside already adds q to every neighborhood sum (help beyond k
@@ -354,54 +356,48 @@ def decompose(g: Graph, stuck):
     partition, head vertices), and the split goes on with the head, or
     any other value, which is returned as the refusal.
 
-    The split runs on an explicit stack, depth first in part order, so the
-    first stuck vertex set does not depend on the depth.  Node ids follow
-    the order in which a recursive builder would create them: all parts of
-    a split, then its left-to-right fold; a spider's head, then the
-    spider."""
+    The split runs top down on an explicit stack, depth first in part
+    order, so the first stuck vertex set does not depend on the depth.
+    It records each node as a vertex (a leaf), (tag, part count) or
+    (spider, has head); node ids follow the reversed list, which builds
+    every subtree before its parent."""
     if g.n == 0:
         raise ValueError("empty graph has no decomposition tree")
+    records: list = []
+    todo: list[list[int]] = [list(range(g.n))]
+    while todo:
+        vs = todo.pop()
+        if len(vs) == 1:
+            records.append(vs[0])
+            continue
+        tag, parts = "U", g.components(vs)
+        if len(parts) == 1:
+            tag, parts = "J", g.co_components(vs)
+        if len(parts) > 1:
+            records.append((tag, len(parts)))
+            todo += reversed(parts)
+            continue
+        got = stuck(g, vs)
+        if not isinstance(got, tuple):
+            return got
+        sp, head = got
+        records.append((sp, bool(head)))
+        if head:
+            todo.append(head)
     b = CotreeBuilder()
-    frames: list[list] = []  # [tag, parts, next part, part roots] | ["S", spider]
-    vs: list[int] = list(range(g.n))
-    while True:
-        if len(vs) > 1:
-            tag, parts = "U", g.components(vs)
-            if len(parts) == 1:
-                tag, parts = "J", g.co_components(vs)
-            if len(parts) > 1:
-                frames.append([tag, parts, 1, []])
-                vs = parts[0]
-                continue
-            got = stuck(g, vs)
-            if not isinstance(got, tuple):
-                return got
-            sp, head = got
-            if head:
-                frames.append(["S", sp])
-                vs = head
-                continue
-            node = b.spider_node(sp)
+    done: list[int] = []  # finished subtree roots, the leftmost part on top
+    for rec in reversed(records):
+        if isinstance(rec, int):
+            done.append(b.leaf(rec))
+        elif isinstance(rec[0], SpiderPartition):
+            done.append(b.spider_node(rec[0], done.pop() if rec[1] else -1))
         else:
-            node = b.leaf(vs[0])
-        while frames:
-            frame = frames[-1]
-            if frame[0] == "S":
-                node = b.spider_node(frame[1], node)
-                frames.pop()
-                continue
-            frame[3].append(node)
-            if frame[2] < len(frame[1]):
-                vs = frame[1][frame[2]]
-                frame[2] += 1
-                break
-            frames.pop()
-            roots = frame[3]
-            node = roots[0]
-            for r in roots[1:]:
-                node = b.node(frame[0], node, r)
-        else:
-            return b.tree(node)
+            tag, m = rec
+            node = done.pop()
+            for _ in range(m - 1):
+                node = b.node(tag, node, done.pop())
+            done.append(node)
+    return b.tree(done[0])
 
 
 def _p4_refusal(g: Graph, vs: list[int]) -> CographRefusal:
@@ -452,16 +448,29 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
 # --- rainbow DP --------------------------------------------------------------
 
+# Per node kind, the fills of the (left, right) sides for each branch of
+# the cheapest function with an empty label, in the order that
+# ``rainbow_cograph`` lists the branch costs.  "ones" gives every vertex
+# color 1, "plus" is the cheapest all-nonempty cover of all k colors,
+# "all" puts all k colors on the first vertex, "minus" recurses and None
+# leaves the side empty.
+_FILLS = {
+    "U": (("minus", "ones"), ("ones", "minus"), ("minus", "minus")),
+    "J": (("plus", None), (None, "plus"), ("minus", None), (None, "minus"),
+          ("all", "all")),
+}
+
 
 def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     """Exact k-rainbow domination number of the graph the tree encodes,
-    with a validating witness reconstructed by backtracking."""
+    with a validating witness that replays each node's stored branch."""
     if k < 1:
         raise ValueError("k must be at least 1")
     size, kind, left, right = t.size, t.kind, t.left, t.right
     # cheapest all-nonempty cover of all k colors
     rp = [sz if sz > k else k for sz in size]
     rm = [INF] * len(kind)  # cheapest function with some empty label
+    pick = [0] * len(kind)  # the first branch of _FILLS[kind[v]] reaching rm[v]
     for v, kv in enumerate(kind):
         if kv == "L":
             continue
@@ -470,9 +479,11 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
             continue
         a, b = left[v], right[v]
         if kv == "U":
-            rm[v] = min(rm[a] + size[b], rm[b] + size[a], rm[a] + rm[b])
+            costs = (rm[a] + size[b], rm[b] + size[a], rm[a] + rm[b])
         else:
-            rm[v] = min(rp[a], rp[b], rm[a], rm[b], 2 * k)
+            costs = (rp[a], rp[b], rm[a], rm[b], 2 * k)
+        rm[v] = best = min(costs)
+        pick[v] = costs.index(best)
     value = min(t.n, rm[t.root])
     assert value != INF
     value = int(value)
@@ -480,81 +491,39 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
         return value, None
 
     seq, start = t.seq, t.start
+    one = frozenset({1})
     labels: list[frozenset[int]] = [frozenset()] * t.n
-
-    def leaves(node: int) -> list[int]:
-        return seq[start[node]:start[node] + size[node]]
-
-    def fill_singletons(node: int) -> None:
-        one = frozenset({1})
-        for lv in leaves(node):
-            labels[lv] = one
-
-    def fill_plus_cover(node: int) -> None:
-        # every leaf nonempty, all k colors used, cost max(size, k)
-        ls = leaves(node)
-        m = len(ls)
-        if m >= k:
-            for i, lv in enumerate(ls):
-                labels[lv] = frozenset({(i % k) + 1})
+    todo = [(t.root, "ones" if t.n <= rm[t.root] else "minus")]
+    while todo:
+        v, fill = todo.pop()
+        if fill == "ones":
+            for x in seq[start[v]:start[v] + size[v]]:
+                labels[x] = one
+        elif fill == "plus":
+            vs = seq[start[v]:start[v] + size[v]]
+            if len(vs) >= k:
+                for i, x in enumerate(vs):
+                    labels[x] = frozenset({i % k + 1})
+            else:
+                labels[vs[0]] = frozenset({1, *range(len(vs) + 1, k + 1)})
+                for i in range(1, len(vs)):
+                    labels[vs[i]] = frozenset({i + 1})
+        elif fill == "all":
+            labels[seq[start[v]]] = frozenset(range(1, k + 1))
+        elif kind[v] == "S":
+            # a body vertex carries all colors; thin: every other foot
+            # takes a single color; thick: only its excluded foot does
+            sp = t.spider[v]
+            labels[sp.body[0]] = frozenset(range(1, k + 1))
+            for f in sp.feet[1:] if sp.kind == "thin" else sp.feet[:1]:
+                labels[f] = one
         else:
-            labels[ls[0]] = frozenset({1} | set(range(m + 1, k + 1)))
-            for i in range(1, m):
-                labels[ls[i]] = frozenset({i + 1})
-
-    stack = [(t.root, "root")]
-    while stack:
-        node, mode = stack.pop()
-        if mode == "root":
-            if t.n <= rm[t.root]:
-                fill_singletons(node)
-            else:
-                stack.append((node, "minus"))
-        elif mode == "empty":
-            pass  # labels default to empty
-        elif mode == "singletons":
-            fill_singletons(node)
-        elif mode == "plus":
-            fill_plus_cover(node)
-        else:  # minus
-            kindv = t.kind[node]
-            assert kindv != "L", "a lone vertex admits no empty label"
-            if kindv == "S":
-                # a body vertex carries all colors; thin: every other foot
-                # takes a single color; thick: only its excluded foot does
-                sp = t.spider[node]
-                labels[sp.body[0]] = frozenset(range(1, k + 1))
-                for f in sp.feet[1:] if sp.kind == "thin" else sp.feet[:1]:
-                    labels[f] = frozenset({1})
-                continue
-            a, b = t.left[node], t.right[node]
-            if kindv == "U":
-                branches = (
-                    (rm[a] + size[b], ("minus", "singletons")),
-                    (rm[b] + size[a], ("singletons", "minus")),
-                    (rm[a] + rm[b], ("minus", "minus")),
-                )
-                _, (ma, mb) = min(branches, key=lambda x: x[0])
-                stack.append((a, ma))
-                stack.append((b, mb))
-            else:
-                branches = (
-                    (rp[a], ("plus", "empty")),
-                    (rp[b], ("empty", "plus")),
-                    (rm[a], ("minus", "empty")),
-                    (rm[b], ("empty", "minus")),
-                    (2 * k, ("kk", "kk")),
-                )
-                _, (ma, mb) = min(branches, key=lambda x: x[0])
-                if ma == "kk":
-                    full = frozenset(range(1, k + 1))
-                    labels[seq[start[a]]] = labels[seq[start[b]]] = full
-                else:
-                    stack.append((a, ma))
-                    stack.append((b, mb))
-
-    witness = RainbowFunction(k, tuple(labels))
-    return value, witness
+            fa, fb = _FILLS[kind[v]][pick[v]]
+            if fa:
+                todo.append((left[v], fa))
+            if fb:
+                todo.append((right[v], fb))
+    return value, RainbowFunction(k, tuple(labels))
 
 
 # --- weight DPs ---------------------------------------------------------------

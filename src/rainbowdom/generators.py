@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, graph_join, graph_union
-from .cograph import SpiderPartition, parse_cotree
+from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph, parse_cotree
 from .gadgets import SplitPartition
 
 __all__ = ["BipartitePartition", "generate", "FAMILIES"]
@@ -40,32 +40,20 @@ def _complete_bipartite(n1: int, n2: int):
     return g, BipartitePartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
 
 
-def _spider(kind: str, s: int, head: int):
-    """Feet 0..s-1, body s..2s-1, edgeless head 2s..2s+head-1."""
+def _spider(kind: str, s: int, head: int = 0):
+    """Feet 0..s-1, body s..2s-1, edgeless head 2s..2s+head-1; the model
+    is the spider's tree, its head a union of leaves."""
     if s < 2:
         raise ValueError("a spider has at least two feet")
     if head < 0:
         raise ValueError("head size must be non-negative")
-    edges = []
-    for i in range(s):
-        for j in range(s):
-            matched = (i == j) if kind == "thin" else (i != j)
-            if matched:
-                edges.append((i, s + j))
-    for i in range(s):
-        for j in range(i + 1, s):
-            edges.append((s + i, s + j))
-    for h in range(head):
-        for j in range(s):
-            edges.append((2 * s + h, s + j))
-    g = Graph(2 * s + head, edges)
-    model = SpiderPartition(
-        kind,
-        tuple(range(s)),
-        tuple(range(s, 2 * s)),
-        tuple(range(2 * s, 2 * s + head)),
-    )
-    return g, model
+    b = CotreeBuilder()
+    head_node = -1
+    for v in range(2 * s, 2 * s + head):
+        head_node = b.leaf(v) if head_node == -1 else b.node("U", head_node, b.leaf(v))
+    sp = SpiderPartition(kind, tuple(range(s)), tuple(range(s, 2 * s)), ())
+    tree = b.tree(b.spider_node(sp, head_node))
+    return cotree_to_graph(tree), tree
 
 
 def _random(n: int, p: float, seed: int) -> Graph:
@@ -103,52 +91,60 @@ def _rainbow_gap():
     return g, parse_cotree(f"(J (U {path(0)} {path(3)}) (U {path(6)} {path(9)}))")
 
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "thin_spider",
-    "thick_spider",
-    "random",
-    "random_splitgraph",
-    "union",
-    "join",
-    "rainbow_gap",
-)
+# Each family's parameter kinds: "n" a whole number, "p" a probability in
+# [0, 1].  A spider's head size may be left out.
+FAMILIES = {
+    "path": "n",
+    "cycle": "n",
+    "complete": "n",
+    "complete_bipartite": "nn",
+    "thin_spider": "nn",
+    "thick_spider": "nn",
+    "random": "np",
+    "random_splitgraph": "nnp",
+    "rainbow_gap": "",
+}
+
+
+def _params(family: str, params) -> list:
+    kinds = FAMILIES[family]
+    fewest = 1 if family.endswith("_spider") else len(kinds)
+    if not fewest <= len(params) <= len(kinds):
+        want = f"{fewest} or {len(kinds)}" if fewest < len(kinds) else len(kinds)
+        raise ValueError(f"{family} takes {want} parameters, got {len(params)}")
+    out = []
+    for kind, x in zip(kinds, params):
+        if kind == "n" and not float(x).is_integer():
+            raise ValueError(f"size {x} is not a whole number")
+        if kind == "p" and not 0 <= x <= 1:
+            raise ValueError(f"probability {x} is not in [0, 1]")
+        out.append(int(x) if kind == "n" else float(x))
+    return out
 
 
 def generate(family: str, *params, seed: int = 0):
     """Build a named family member; returns (graph, model-or-None).
 
-    Models: spiders yield their partition, random split graphs their split
-    partition, complete bipartite graphs their sides, and the gap example
-    its cotree.
+    Models: spiders and the gap example yield their tree, random split
+    graphs their split partition, and complete bipartite graphs their
+    sides.  Sizes must be whole numbers and probabilities lie in [0, 1]
+    (``ValueError`` otherwise).
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    p = _params(family, params)
     if family == "path":
-        return _path(int(params[0])), None
+        return _path(*p), None
     if family == "cycle":
-        return _cycle(int(params[0])), None
+        return _cycle(*p), None
     if family == "complete":
-        return _complete(int(params[0])), None
+        return _complete(*p), None
     if family == "complete_bipartite":
-        return _complete_bipartite(int(params[0]), int(params[1]))
-    if family == "thin_spider":
-        return _spider("thin", int(params[0]), int(params[1]) if len(params) > 1 else 0)
-    if family == "thick_spider":
-        return _spider("thick", int(params[0]), int(params[1]) if len(params) > 1 else 0)
+        return _complete_bipartite(*p)
+    if family in ("thin_spider", "thick_spider"):
+        return _spider(family.split("_")[0], *p)
     if family == "random":
-        return _random(int(params[0]), float(params[1]), seed), None
+        return _random(*p, seed), None
     if family == "random_splitgraph":
-        return _random_splitgraph(
-            int(params[0]), int(params[1]), float(params[2]), seed
-        )
-    if family == "union":
-        a, b = params
-        return graph_union(a, b), None
-    if family == "join":
-        a, b = params
-        return graph_join(a, b), None
-    if family == "rainbow_gap":
-        return _rainbow_gap()
-    raise ValueError(f"unknown family {family!r}")
+        return _random_splitgraph(*p, seed)
+    return _rainbow_gap()

@@ -74,18 +74,18 @@ def _refine_colors(g: Graph, colors):
     return colors
 
 
-def _invariant_key(g: Graph):
-    colors = _refine_colors(g, [g.degree(v) for v in range(g.n)])
-    return (g.n, g.m, tuple(sorted(colors)))
+def _colors(g: Graph) -> list[int]:
+    return _refine_colors(g, [g.degree(v) for v in range(g.n)])
 
 
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism by color-refined backtracking; meant for n <= 10."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    ca = _refine_colors(a, [a.degree(v) for v in range(a.n)])
-    cb = _refine_colors(b, [b.degree(v) for v in range(b.n)])
-    if sorted(ca) != sorted(cb):
+    return _isomorphic(a, _colors(a), b, _colors(b))
+
+
+def _isomorphic(a: Graph, ca: list[int], b: Graph, cb: list[int]) -> bool:
+    """``graphs_isomorphic`` given both graphs' refined colors."""
+    if a.n != b.n or a.m != b.m or sorted(ca) != sorted(cb):
         return False
     order = sorted(range(a.n), key=lambda v: (ca[v], -a.degree(v)))
     image = [-1] * a.n
@@ -116,19 +116,20 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 class _IsoCollection:
-    """Set of graphs up to isomorphism, bucketed by a refinement invariant."""
+    """Set of graphs up to isomorphism, bucketed by size and the multiset
+    of refined colors; each stored graph keeps its colors."""
 
     def __init__(self):
         self.buckets: dict = {}
         self.items: list = []
 
     def add(self, g: Graph, payload) -> bool:
-        key = _invariant_key(g)
-        bucket = self.buckets.setdefault(key, [])
-        for h, _p in bucket:
-            if graphs_isomorphic(g, h):
+        colors = _colors(g)
+        bucket = self.buckets.setdefault((g.n, g.m, tuple(sorted(colors))), [])
+        for h, ch in bucket:
+            if _isomorphic(g, colors, h, ch):
                 return False
-        bucket.append((g, payload))
+        bucket.append((g, colors))
         self.items.append((g, payload))
         return True
 

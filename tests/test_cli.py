@@ -154,12 +154,34 @@ def test_solve_empty_graph(tmp_path, cls, problem):
 
 
 def test_generate_and_convert_roundtrip(tmp_path):
-    run_cli("generate", "thin_spider", "3", "1", "--out", str(tmp_path / "sp"))
-    code, out, _ = run_cli(
-        "convert", "--kind", "p4tree", str(tmp_path / "sp.p4tree")
-    )
-    assert code == 0
-    assert out == (tmp_path / "sp.graph").read_text()
+    for family, params, value in (("thin_spider", ("3", "1"), "4"),
+                                  ("thin_spider", ("3", "2"), "4"),
+                                  ("thick_spider", ("4", "2"), "3")):
+        code, _o, _e = run_cli("generate", family, *params, "--out", str(tmp_path / "sp"))
+        assert code == 0
+        code, out, _ = run_cli(
+            "convert", "--kind", "p4tree", str(tmp_path / "sp.p4tree")
+        )
+        assert code == 0
+        assert out == (tmp_path / "sp.graph").read_text()
+        code, out, _ = run_cli(
+            "solve", "--problem", "rainbow", "--k", "2", "--class", "p4sparse",
+            "--model", str(tmp_path / "sp.p4tree"),
+        )
+        assert code == 0 and out.strip() == value
+
+
+@pytest.mark.parametrize("params", [
+    ("path", "2.5"),
+    ("complete_bipartite", "2.9", "3"),
+    ("random", "5", "1.7"),
+    ("cycle", "3", "4", "5"),
+])
+def test_generate_bad_parameters_exit_2(tmp_path, params):
+    code, _o, err = run_cli("generate", *params, "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert err.startswith("error: bad generator parameters") and err.count("\n") == 1
+    assert not (tmp_path / "g.graph").exists()
 
 
 def test_verify_quick_plan(tmp_path):

@@ -13,6 +13,8 @@ from rainbowdom.semantics import (
     weight_cost,
 )
 from rainbowdom.oracle import exact_rainbow, exact_weight_variant
+from rainbowdom.generators import generate
+from rainbowdom.p4sparse import recognize_p4sparse
 from rainbowdom.cograph import (
     _join,
     Cotree,
@@ -256,3 +258,26 @@ def test_array_built_deep_caterpillar():
         value, witness = solver(t, 2)
         assert check_witness(problem, g, value, witness) is None
         assert value == solver(shallow, 2, want_witness=False)[0]
+
+
+def test_outputs_pinned(gap12, c6):
+    # exact witnesses and trees, not only valid ones: a change to the
+    # branch tie rule or to the split order shows here first
+    def nonempty(t, k):
+        value, witness = rainbow_cograph(t, k)
+        return value, {v: sorted(lab) for v, lab in enumerate(witness.labels) if lab}
+
+    gap_tree = generate("rainbow_gap")[1]
+    assert nonempty(gap_tree, 3) == (6, {0: [2], 1: [1], 2: [3], 3: [2], 4: [1], 5: [3]})
+    gap_rec = recognize_cograph(gap12)
+    assert gap_rec.to_text() == (
+        "(J (U (J (U 0 2) 1) (J (U 3 5) 4)) (U (J (U 6 8) 7) (J (U 9 11) 10)))")
+    assert nonempty(gap_rec, 3) == (6, {0: [1], 1: [3], 2: [2], 3: [1], 4: [3], 5: [2]})
+    thick = parse_cotree("(S thick (0 1 2) (3 4 5) (U 6 7))")
+    assert nonempty(thick, 2) == (3, {0: [1], 3: [1, 2]})
+    thin = parse_cotree("(S thin (0 1 2) (3 4 5) 6)")
+    assert nonempty(thin, 3) == (5, {1: [1], 2: [1], 3: [1, 2, 3]})
+    assert nonempty(random_cotree(40, 7), 3) == (3, {4: [1, 2, 3]})
+    spider = recognize_p4sparse(generate("thick_spider", 4, 2)[0])
+    assert spider.to_text() == "(S thick (0 1 2 3) (4 5 6 7) (U 8 9))"
+    assert recognize_cograph(c6).p4 == (5, 0, 1, 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from rainbowdom.graph import parse_graph, render_graph
+from rainbowdom.graph import graph_join, graph_union, parse_graph, render_graph
 from rainbowdom.cograph import cotree_to_graph
 from rainbowdom.p4sparse import check_spider
 from rainbowdom.generators import generate
@@ -26,14 +26,15 @@ def test_complete_bipartite():
 def test_thin_spider_matches_definition():
     g, model = generate("thin_spider", 3, 0)
     assert g.n == 6
-    assert check_spider(g, model)
+    assert check_spider(g, model.spider[model.root])
     # perfect matching between feet and body, body a triangle
     assert sum(1 for u, v in g.edges if u < 3 and v >= 3) == 3
 
 
 def test_thick_spider_matches_definition():
     g, model = generate("thick_spider", 4, 2)
-    assert check_spider(g, model)
+    assert check_spider(g, model.spider[model.root])
+    assert model.to_text() == "(S thick (0 1 2 3) (4 5 6 7) (U 8 9))"
 
 
 def test_spider_parameter_validation():
@@ -43,6 +44,10 @@ def test_spider_parameter_validation():
         generate("cycle", 2)
     with pytest.raises(ValueError):
         generate("complete_bipartite", 0, 2)
+    for family, params in (("path", (2.5,)), ("random", (5, 1.7)), ("cycle", (3, 4)),
+                           ("thin_spider", ()), ("union", (1, 2))):
+        with pytest.raises(ValueError):
+            generate(family, *params)
 
 
 def test_random_deterministic():
@@ -75,8 +80,7 @@ def test_rainbow_gap_values():
 
 def test_union_join_programmatic():
     p3, _ = generate("path", 3)
-    u, _ = generate("union", p3, p3)
-    j, _ = generate("join", p3, p3)
+    u, j = graph_union(p3, p3), graph_join(p3, p3)
     assert u.n == j.n == 6
     assert j.m == u.m + 9
 

@@ -53,7 +53,7 @@ def test_generated_spiders_pass_predicate():
         for s in (2, 3, 4):
             for head in (0, 2):
                 g, model = generate(f"{kind}_spider", s, head)
-                assert check_spider(g, model)
+                assert check_spider(g, model.spider[model.root])
 
 
 def test_thick_is_complement_of_thin():
