@@ -154,7 +154,8 @@ def cmd_solve(args) -> int:
 
     # no decomposition tree models the empty graph; the oracle answers it
     chosen = "oracle" if instance.n == 0 else cls
-    if chosen == "auto":
+    auto = chosen == "auto"
+    if auto:
         chosen = "oracle"
         for name in AUTO[problem]:
             got = REGISTRY[name].recognize(g, L)
@@ -163,20 +164,21 @@ def cmd_solve(args) -> int:
                 break
         if chosen == "p4sparse" and "S" not in model.kind:
             chosen = "cograph"
-        if chosen == "oracle":
-            cap = _oracle_cap()
-            size = g.n * k if problem == "rainbow" else g.n
-            if size > cap:
-                _fail(
-                    f"no structured class recognized and the instance exceeds "
-                    f"the oracle cap ({size} > {cap}); raise "
-                    f"RAINBOWDOM_ORACLE_CAP or supply --class with a model",
-                    code=3,
-                )
-        print(f"auto: solving as {chosen}", file=sys.stderr)
     if chosen == "oracle":
-        _oracle_cap()
+        # one size check however the oracle was chosen: the weight searches
+        # have no cap of their own
+        cap = _oracle_cap()
+        size = g.n * k if problem == "rainbow" else g.n
+        if size > cap:
+            why = "no structured class recognized and the" if auto else "the"
+            _fail(
+                f"{why} instance exceeds the oracle cap ({size} > {cap}); "
+                f"raise RAINBOWDOM_ORACLE_CAP or supply --class with a model",
+                code=3,
+            )
         model = g
+    if auto:
+        print(f"auto: solving as {chosen}", file=sys.stderr)
 
     try:
         value, witness = REGISTRY[chosen].solvers[problem](model, k, j, L)

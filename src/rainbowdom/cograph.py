@@ -469,7 +469,9 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
     size, kind, left, right = t.size, t.kind, t.left, t.right
     # cheapest all-nonempty cover of all k colors
     rp = [sz if sz > k else k for sz in size]
-    rm = [INF] * len(kind)  # cheapest function with some empty label
+    # cheapest function with some empty label; a leaf has none, and every
+    # finite rm[v] is at most size[v] + 2k, so n + 2k + 1 stands for none
+    rm = [t.n + 2 * k + 1] * len(kind)
     pick = [0] * len(kind)  # the first branch of _FILLS[kind[v]] reaching rm[v]
     for v, kv in enumerate(kind):
         if kv == "L":
@@ -485,8 +487,6 @@ def rainbow_cograph(t: Cotree, k: int, want_witness: bool = True):
         rm[v] = best = min(costs)
         pick[v] = costs.index(best)
     value = min(t.n, rm[t.root])
-    assert value != INF
-    value = int(value)
     if not want_witness:
         return value, None
 

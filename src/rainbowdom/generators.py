@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, graph_join, graph_union
+from .bipartite import complete_bipartite_graph
+from .graph import Graph
 from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph, parse_cotree
 from .gadgets import SplitPartition
 
@@ -36,8 +37,8 @@ def _complete(n: int) -> Graph:
 def _complete_bipartite(n1: int, n2: int):
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides need at least one vertex")
-    g = Graph(n1 + n2, [(u, n1 + v) for u in range(n1) for v in range(n2)])
-    return g, BipartitePartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
+    sides = BipartitePartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
+    return complete_bipartite_graph(n1, n2), sides
 
 
 def _spider(kind: str, s: int, head: int = 0):
@@ -84,11 +85,9 @@ def _rainbow_gap():
     """12-vertex cograph separating the weak {3} and 3-rainbow numbers
     (4 versus 6): the join of two copies of a union of two paths on three
     vertices."""
-    p3 = _path(3)
-    side = graph_union(p3, p3)
-    g = graph_join(side, side)
     path = lambda a: f"(J {a + 1} (U {a} {a + 2}))"
-    return g, parse_cotree(f"(J (U {path(0)} {path(3)}) (U {path(6)} {path(9)}))")
+    tree = parse_cotree(f"(J (U {path(0)} {path(3)}) (U {path(6)} {path(9)}))")
+    return cotree_to_graph(tree), tree
 
 
 # Each family's parameter kinds: "n" a whole number, "p" a probability in

@@ -4,23 +4,23 @@ whose adjacency is the ancestor relation of a rooted forest.
 Weak {k}-L-domination is one bottom-up dynamic program over the forest,
 with each vertex's floor a and demand b read as given: for each subtree and
 each amount of help h in {0..k} arriving from the vertices above it, the
-table holds the cheapest internal weight.  A vertex takes weight zero only
-when its floor is zero and its neighbours carry its demand, and otherwise a
-weight of at least max(a, 1).  Feasible subtree totals form an interval up
-to k times the subtree size, so any total between the minimum and that
-capacity is realizable by padding, which is what a parent buys when its own
-demand exceeds the children's combined minima.  Every vertex of a subtree is a
-descendant of the whole path above it, so a subtree's help to each ancestor
-equals its internal total and a single scalar per side suffices.  Weak
-{k}-domination is the all-(0, k) assignment; values are certified against
-the brute-force oracle.
+table holds the cheapest internal weight, and each vertex stores the weight
+it takes at each help level, which the witness replays top down.  A vertex
+takes weight zero only when its floor is zero and its neighbours carry its
+demand, and otherwise a weight of at least max(a, 1).  Feasible subtree
+totals form an interval up to k times the subtree size, so any total
+between the minimum and that capacity is realizable by padding, which is
+what a parent buys when its own demand exceeds the children's combined
+minima.  Every vertex of a subtree is a descendant of the whole path above
+it, so a subtree's help to each ancestor equals its internal total and a
+single scalar per side suffices.  Weak {k}-domination is the all-(0, k)
+assignment; values are certified against the brute-force oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from operator import add
 
 from .cograph import Cotree, CotreeBuilder
 from .graph import Graph, _vertex_rows
@@ -155,14 +155,6 @@ class RootedTreeModel:
             node[v] = b.node("J", b.leaf(v), union(ch)) if ch else b.leaf(v)
         return b.tree(union(self.roots))
 
-    def subtree_sizes(self) -> list[int]:
-        size = [1] * self.n
-        for v in reversed(self.order):
-            p = self.parents[v]
-            if p != -1:
-                size[p] += size[v]
-        return size
-
 
 def parse_tree_model(text: str) -> RootedTreeModel:
     """n lines ``v parent`` with -1 marking roots."""
@@ -239,98 +231,73 @@ def _solve_tree_weakL(model: RootedTreeModel, pairs, k: int):
     """Exact minimum and witness for the weak {k}-L problem on a forest
     model with per-vertex floors (a, b).  O(k n)."""
     n = model.n
-    if n == 0:
-        return 0, []
-    a = [p[0] for p in pairs]
-    b = [p[1] for p in pairs]
-    size = model.subtree_sizes()
     children = model.children
-
-    # f[v][s]: cheapest subtree total when vertices above v contribute s
     k1 = k + 1
-    zeros = [0] * k1
-    f: list[list[int]] = [None] * n  # type: ignore[list-item]
-    childsum: list[list[int]] = [None] * n  # type: ignore[list-item]
-    leaf_cache: dict[tuple[int, int], list[int]] = {}
     hs = range(k1)
+    # f[v][s]: cheapest subtree total when the vertices above v add s;
+    # pick[v][s]: the weight v takes there, zero winning ties
+    f: list[list[int]] = [None] * n  # type: ignore[list-item]
+    pick: list[list[int]] = [None] * n  # type: ignore[list-item]
+    size = [1] * n
+    leaf_cache: dict[tuple[int, int], list[int]] = {}
     for v in reversed(model.order):
         ch = children[v]
-        av, bv = a[v], b[v]
-        if not ch:
+        av, bv = pairs[v]
+        w_lo = av if av > 1 else 1
+        if not ch:  # a leaf's total is its own weight
             fv = leaf_cache.get((av, bv))
             if fv is None:
-                base = max(av, 1)
-                fv = [0 if (av == 0 and s >= bv) else base for s in range(k1)]
+                fv = [0 if av == 0 and s >= bv else w_lo for s in hs]
                 leaf_cache[(av, bv)] = fv
-            f[v] = fv
-            childsum[v] = zeros
+            f[v] = pick[v] = fv
             continue
-        if len(ch) == 1:
-            cs = f[ch[0]]
-        else:
-            cs = list(map(add, f[ch[0]], f[ch[1]]))
-            for c in ch[2:]:
-                cs = list(map(add, cs, f[c]))
-        childsum[v] = cs
+        cs = f[ch[0]]  # cs[h]: the children's least total at help h
+        size[v] += size[ch[0]]
+        for c in ch[1:]:
+            cs = list(map(add, cs, f[c]))
+            size[v] += size[c]
         # a positive weight w costs h + cs[h] - s with h = min(k, s + w), so
-        # the cheapest w >= w_lo is a suffix minimum of h + cs[h] from s + w_lo;
-        # once s + w_lo passes k, the clamped column costs w_lo + cs[k]
-        w_lo = av if av > 1 else 1
-        sfx = list(accumulate(reversed(list(map(add, hs, cs))), min))
-        sfx.reverse()
-        fv = list(map(sub, sfx[w_lo:], hs))
-        fv.extend([w_lo + cs[k]] * w_lo)
-        if av == 0:
-            cap_below = k * (size[v] - 1)
-            for s in range(max(0, bv - cap_below), k1):
-                cand = cs[s]
-                if bv - s > cand:
-                    cand = bv - s
-                if cand < fv[s]:
-                    fv[s] = cand
-        f[v] = fv
+        # the cheapest w >= w_lo ends at the first h >= s + w_lo minimizing
+        # h + cs[h]; past k the smallest weight is cheapest
+        first = [k] * k1
+        for h in range(k - 1, -1, -1):
+            j = first[h + 1]
+            first[h] = h if h + cs[h] <= j + cs[j] else j
+        cap_below = k * (size[v] - 1)
+        fv, pv = [], []
+        for s in hs:
+            h = s + w_lo
+            w = first[h] - s if h <= k else w_lo
+            cost = w + cs[s + w if s + w < k else k]
+            if av == 0 and bv - s <= cap_below:
+                zero = max(cs[s], bv - s)
+                if zero <= cost:
+                    w, cost = 0, zero
+            fv.append(cost)
+            pv.append(w)
+        f[v], pick[v] = fv, pv
 
     value = sum(f[r][0] for r in model.roots)
 
-    # realize the witness: per vertex pick the cheapest weight again and
-    # hand each child its minimum plus a share of any padding
+    # replay the picks top down, handing each child its minimum plus a
+    # share of any padding
     weights = [0] * n
     stack = [(r, 0, f[r][0]) for r in model.roots]
     while stack:
         v, s, target = stack.pop()
-        cs = childsum[v]
-        cap_below = k * (size[v] - 1)
-        # the smallest cheapest positive weight; past k - s every weight
-        # lands on the clamped column, where the smallest is cheapest
-        w_lo = max(1, a[v])
-        if s + w_lo >= k:
-            total, w = w_lo + cs[k], w_lo
-        else:
-            costs = [w + cs[s + w] for w in range(w_lo, k - s + 1)]
-            total = min(costs)
-            w = w_lo + costs.index(total)
-        # weight zero wins ties
-        if a[v] == 0:
-            need0 = b[v] - s
-            if need0 <= cap_below and max(cs[s], need0) <= total:
-                total, w = max(cs[s], need0), 0
+        w, total = pick[v][s], f[v][s]
         assert total <= target <= k * size[v]
-        h = min(k, s + w)
-        need_below = max(cs[s], b[v] - s) if w == 0 else cs[h]
+        below = total - w  # the children's least total
         # padding goes below first; the vertex's own weight absorbs the rest
-        extra = target - total
-        give_below = min(extra, cap_below - need_below)
-        weights[v] = w + (extra - give_below)
-        below_target = need_below + give_below
-        spread = below_target - cs[h]
-        if not spread:
-            stack.extend([(c, h, f[c][h]) for c in children[v]])
-            continue
-        for c in children[v]:
-            fc = f[c][h]
-            give = min(spread, k * size[c] - fc)
-            stack.append((c, h, fc + give))
-            spread -= give
+        give = min(target - total, k * (size[v] - 1) - below)
+        weights[v] = target - below - give
+        h = min(k, s + w)
+        fs = [f[c][h] for c in children[v]]
+        spread = below + give - sum(fs)
+        for c, fc in zip(children[v], fs):
+            extra = min(spread, k * size[c] - fc)
+            stack.append((c, h, fc + extra))
+            spread -= extra
         assert spread == 0
     return value, weights
 

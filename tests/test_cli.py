@@ -114,6 +114,34 @@ def test_oracle_cap_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("problem", ["weak", "kdom", "jkdom", "weakL"])
+def test_oracle_cap_exit_3_for_weight_problems(tmp_path, problem):
+    """--class oracle checks the vertex cap for every problem, not only
+    for rainbow, whose search checks n*k itself."""
+    run_cli("generate", "random", "30", "0.5", "--out", str(tmp_path / "big"))
+    (tmp_path / "big.assign").write_text("".join(f"{v} 0 2\n" for v in range(30)))
+    extra = {"jkdom": ["--j", "1"],
+             "weakL": ["--assignment", str(tmp_path / "big.assign")]}
+    code, out, err = run_cli(
+        "solve", "--problem", problem, "--k", "2", "--class", "oracle",
+        "--graph", str(tmp_path / "big.graph"), *extra.get(problem, []),
+    )
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "error: the instance exceeds the oracle cap (30 > 24); raise "
+        "RAINBOWDOM_ORACLE_CAP or supply --class with a model"
+    ]
+
+
+def test_oracle_under_cap_solves_weak(tmp_path):
+    run_cli("generate", "random", "12", "0.3", "--out", str(tmp_path / "small"))
+    code, out, _e = run_cli(
+        "solve", "--problem", "weak", "--k", "2", "--class", "oracle",
+        "--graph", str(tmp_path / "small.graph"),
+    )
+    assert code == 0 and int(out) >= 1
+
+
 def test_interval_requires_k2(tmp_path):
     (tmp_path / "m.ivl").write_text("0 0 1\n1 1 2\n")
     code, _o, err = run_cli(

@@ -113,6 +113,37 @@ def test_two_branch_schedule_counterexample():
     assert ok and weight_cost(wit) == 3
 
 
+def test_forest_dp_outputs_pinned():
+    """Values and weights of the forest DP, recorded before the DP stored
+    its per-help picks: ties and padding must land where they did."""
+    k = 3
+    two_branch = RootedTreeModel((-1, 0, 1, 1, 0, 4, 4, 4))
+    L = KAssignment(
+        k, ((0, 0), (0, 0), (0, 3), (0, 1), (0, 0), (0, 3), (0, 3), (0, 3))
+    )
+    val, wit = gamma_wkL(two_branch, L)
+    assert (val, wit.weights) == (3, (3, 0, 0, 0, 0, 0, 0, 0))
+
+    rng = random.Random(5)
+    L = KAssignment(k, tuple((rng.randint(0, k), rng.randint(0, k)) for _ in range(30)))
+    val, wit = gamma_wkL(random_tree_model(30, 5), L)
+    assert (val, wit.weights) == (40, (
+        2, 0, 1, 1, 2, 1, 0, 0, 3, 1, 1, 1, 1, 0, 1,
+        1, 2, 1, 1, 3, 0, 3, 1, 0, 2, 2, 2, 2, 2, 3,
+    ))
+
+    three_roots = RootedTreeModel((-1, 0, 0, -1, 3, 4, -1, 6, 6, 7))
+    L = KAssignment(k, ((0, 3), (0, 1), (0, 3), (0, 2), (0, 0),
+                        (0, 3), (0, 3), (0, 2), (0, 1), (0, 3)))
+    val, wit = gamma_wkL(three_roots, L)
+    assert (val, wit.weights) == (6, (1, 0, 1, 0, 0, 2, 1, 0, 0, 1))
+
+    val, wit = gamma_wk_tp(RootedTreeModel((-1, 0, 0, 0)), 2)
+    assert (val, wit.weights) == (2, (2, 0, 0, 0))
+    val, wit = gamma_wk_tp(RootedTreeModel((-1, 0, 1, 2, 3, 4)), 4)
+    assert (val, wit.weights) == (4, (0, 0, 0, 1, 1, 2))
+
+
 def test_gamma_wkL_zero_labels():
     m = random_tree_model(5, 2)
     L = KAssignment(2, tuple((0, 0) for _ in range(5)))
