@@ -1,5 +1,6 @@
 """Immutable simple-graph representation, edge-list I/O, and the product
-construction used by the exact rainbow oracle.
+construction behind the exact rainbow oracle (which searches its closed
+neighbourhoods without building it).
 
 Vertices are dense 0-indexed integers.  Graph values never mutate after
 construction, so they can be shared freely between workers.
@@ -216,20 +217,25 @@ def _vertex_rows(text: str, fields: int, what: str, cover: str) -> list[list[str
     """The split non-blank lines of a file with one line ``v ...`` per
     vertex, in vertex order.  Raises ValueError on a line without
     ``fields`` fields ("malformed <what> line") and, worded by ``cover``,
-    unless the lines name each vertex 0..n-1 exactly once."""
-    rows = {}
-    n = 0  # lines read; a repeated vertex leaves fewer rows
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != fields:
-            raise ValueError(f"malformed {what} line: {ln!r}")
-        rows[int(parts[0])] = parts
-        n += 1
-    if sorted(rows) != list(range(n)):
-        raise ValueError(f"{cover} 0..n-1 exactly once")
-    return [rows[v] for v in range(n)]
+    unless the lines name each vertex 0..n-1 exactly once.  The first bad
+    line, in file order, words the error."""
+    rows = [parts for parts in map(str.split, text.splitlines()) if parts]
+    if not set(map(len, rows)) <= {fields}:
+        # walk the lines to raise on the first bad one, which may instead
+        # be an earlier line whose vertex is not an integer
+        for ln in map(str.strip, text.splitlines()):
+            if ln:
+                parts = ln.split()
+                if len(parts) != fields:
+                    raise ValueError(f"malformed {what} line: {ln!r}")
+                int(parts[0])
+    ids = [int(parts[0]) for parts in rows]
+    n = len(rows)
+    if ids != list(range(n)):
+        if sorted(ids) != list(range(n)):
+            raise ValueError(f"{cover} 0..n-1 exactly once")
+        rows = [parts for _v, parts in sorted(zip(ids, rows))]
+    return rows
 
 
 def render_graph(g: Graph) -> str:

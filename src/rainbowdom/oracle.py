@@ -2,7 +2,8 @@
 
 ``exact_domination`` is a bitmask branch-and-bound for minimum domination;
 ``exact_rainbow`` reduces rainbow domination to domination of the product
-with a complete graph and decodes the witness back to color labels.
+with a complete graph, runs the same search on the product's closed
+neighbourhood masks and decodes the witness back to color labels.
 ``exact_rainbow_direct`` enumerates label vectors as an independent check
 of that reduction.  ``exact_weight_variant`` is a branch-and-bound over
 weight vectors shared by the weak {k}, {k}, (j,k) and weak {k}-L variants.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from operator import lt, sub
 from typing import Union
 
-from .graph import Graph, cartesian_product_complete
+from .graph import Graph
 from .semantics import (
     KAssignment,
     RainbowFunction,
@@ -118,27 +119,32 @@ def _greedy_dominating(nb: list[int], full: int) -> list[int]:
 def exact_domination(
     g: Graph, cap: int | None = None, node_budget: int | None = None
 ) -> OracleResult:
-    """Minimum dominating set by cardinality-increasing depth-first search.
+    """Minimum dominating set by cardinality-increasing depth-first search
+    over the closed neighbourhoods (see ``_min_dominating``)."""
+    cap = vertex_cap(cap)
+    if g.n > cap:
+        raise OracleCapExceeded(f"n={g.n} exceeds oracle cap {cap}")
+    nb = [sum(1 << u for u in g.neighbors(v)) | 1 << v for v in range(g.n)]
+    chosen, nodes = _min_dominating(nb, node_budget)
+    weights = [0] * g.n
+    for v in chosen:
+        weights[v] = 1
+    return OracleResult(len(chosen), WeightFunction(1, tuple(weights)), nodes)
+
+
+def _min_dominating(nb: list[int], node_budget: int | None) -> tuple[list[int], int]:
+    """A minimum set of the vertices whose closed-neighbourhood masks ``nb``
+    cover every vertex, and the number of search nodes visited.
 
     A greedy solution bounds the search from above and the counting bound
     from below; at each node the branch vertex is an undominated vertex
     with the fewest covering candidates, and candidates whose residual
     coverage is contained in another candidate's are pruned.
     """
-    cap = vertex_cap(cap)
-    if g.n > cap:
-        raise OracleCapExceeded(f"n={g.n} exceeds oracle cap {cap}")
     budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
-    n = g.n
+    n = len(nb)
     if n == 0:
-        return OracleResult(0, WeightFunction(1, ()), 0)
-
-    nb = [0] * n
-    for v in range(n):
-        m = 1 << v
-        for u in g.neighbors(v):
-            m |= 1 << u
-        nb[v] = m
+        return [], 0
     full = (1 << n) - 1
 
     greedy = _greedy_dominating(nb, full)
@@ -205,11 +211,7 @@ def exact_domination(
             break
         target += 1
 
-    size = min(best_sets)
-    weights = [0] * n
-    for v in best_sets[size]:
-        weights[v] = 1
-    return OracleResult(size, WeightFunction(1, tuple(weights)), nodes)
+    return best_sets[min(best_sets)], nodes
 
 
 def dominating_set_of(res: OracleResult) -> set[int]:
@@ -225,23 +227,29 @@ def exact_rainbow(
     """Exact k-rainbow domination number via the product construction.
 
     A minimum dominating set of the product of g with a complete graph on k
-    vertices decodes to an optimal rainbow function: color c+1 joins the
-    label of v exactly when product vertex v*k + c is selected.
+    vertices (``cartesian_product_complete``) decodes to an optimal rainbow
+    function: color c+1 joins the label of v exactly when product vertex
+    v*k + c is selected.  The product's closed neighbourhoods are built as
+    masks without the graph: (v, c) sees every colour of v, and colour c of
+    each neighbour of v.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cap = vertex_cap(cap)
     if g.n * k > cap:
         raise OracleCapExceeded(f"product size {g.n * k} exceeds oracle cap {cap}")
-    prod = cartesian_product_complete(g, k)
-    res = exact_domination(prod, cap=cap, node_budget=node_budget)
+    colours = (1 << k) - 1
+    nb = []
+    for v in range(g.n):
+        row = colours << v * k
+        spread = sum(1 << u * k for u in g.neighbors(v))
+        nb += [row | spread << c for c in range(k)]
+    chosen, nodes = _min_dominating(nb, node_budget)
     labels: list[set[int]] = [set() for _ in range(g.n)]
-    assert isinstance(res.witness, WeightFunction)
-    for idx, x in enumerate(res.witness.weights):
-        if x:
-            labels[idx // k].add(idx % k + 1)
+    for idx in chosen:
+        labels[idx // k].add(idx % k + 1)
     f = RainbowFunction(k, tuple(frozenset(s) for s in labels))
-    return OracleResult(res.value, f, res.nodes_explored)
+    return OracleResult(len(chosen), f, nodes)
 
 
 def exact_rainbow_direct(

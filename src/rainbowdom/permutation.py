@@ -126,15 +126,28 @@ def _rounding(to_come: list[bool], absent: int) -> list[int]:
     return rounded
 
 
+def _closed_masks(pi) -> list[int]:
+    """Per segment v, the bit mask of its closed neighbourhood N[v].
+
+    u crosses v iff their ends are inverted: u < v ends right of pi[v], or
+    u > v ends left of it.  With below[v] the segments ending left of
+    pi[v], that is the symmetric difference of (u < v) and below[v], so
+    each mask takes O(1) big-integer steps."""
+    n = len(pi)
+    below = [0] * n
+    acc = 0
+    for v in sorted(range(n), key=pi.__getitem__):
+        below[v] = acc
+        acc |= 1 << v
+    return [((1 << v) - 1) ^ below[v] | 1 << v for v in range(n)]
+
+
 def upper_bound(pi) -> int:
     """Label FULL on a greedy dominating set: a bound on either number."""
     n = len(pi)
     if sorted(pi) != list(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    # u crosses v iff their ends are inverted; u == v passes too, giving N[v]
-    closed = [sum(1 << u for u in range(n) if (u < v) == (pi[u] > pi[v]))
-              for v in range(n)]
-    return 2 * len(_greedy_dominating(closed, (1 << n) - 1))
+    return 2 * len(_greedy_dominating(_closed_masks(pi), (1 << n) - 1))
 
 
 def _sweep(pi, labels: Labels):

@@ -141,6 +141,26 @@ def test_rainbow_is_product_domination():
             )
 
 
+def test_rainbow_search_decodes_product_domination():
+    """The rainbow oracle searches the product's closed masks without
+    building it: value, witness and search size are those of dominating
+    the product graph, decoded colour by colour."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(0, 8), rng.choice((0.2, 0.5, 0.8)), seed)
+        for k in (1, 2, 3):
+            if g.n * k > 24:
+                continue
+            res = exact_rainbow(g, k)
+            dom = exact_domination(cartesian_product_complete(g, k))
+            labels = tuple(
+                frozenset(c + 1 for c in range(k) if dom.witness.weights[v * k + c])
+                for v in range(g.n)
+            )
+            assert (res.value, res.witness.labels, res.nodes_explored) == (
+                dom.value, labels, dom.nodes_explored)
+
+
 def test_cross_oracle_direct_labeling():
     for seed in range(25):
         rng = random.Random(seed)

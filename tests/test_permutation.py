@@ -7,6 +7,7 @@ from rainbowdom.graph import Graph
 from rainbowdom.semantics import is_rainbow, is_weak_k, rainbow_cost, weight_cost
 from rainbowdom.oracle import exact_rainbow, exact_weight_variant
 from rainbowdom.permutation import (
+    _closed_masks,
     diagram_to_graph,
     parse_permutation,
     rainbow2_permutation,
@@ -20,6 +21,17 @@ def test_parse_render_roundtrip():
     pi = parse_permutation("2 1 4 3")
     assert pi == (1, 0, 3, 2)
     assert render_permutation(pi).strip() == "2 1 4 3"
+
+
+def test_closed_masks_are_the_closed_neighbourhoods():
+    for seed in range(300):
+        rng = random.Random(seed)
+        pi = list(range(rng.randint(0, 30)))
+        rng.shuffle(pi)
+        g = diagram_to_graph(tuple(pi))
+        assert _closed_masks(pi) == [
+            sum(1 << u for u in g.neighbors(v) | {v}) for v in range(g.n)
+        ]
 
 
 def test_parse_rejects_non_bijection():

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -182,6 +183,49 @@ def test_gamma_wkL_matches_oracle_randomized():
         assert ok and weight_cost(wit) == val
 
 
+# shapes as parent arrays: a leaf, chains of two and three (equal tables at
+# different sizes under the all-(0, k) floors) and a two-leaf star
+_SHAPES = ((-1,), (-1, 0), (-1, 0, 1), (-1, 0, 0))
+
+
+def _repeated_subtrees(rng, k, uniform):
+    """A forest of at most 9 vertices made of copies of a few shapes, each
+    copy with its shape's floors, so equal subtrees repeat under one parent
+    and as separate trees; a copy hangs from vertex 0 or is a root.  With
+    random floors, some copies redraw the pair of their top vertex: equal
+    children under a different (a, b)."""
+    def pair():
+        return (0, k) if uniform else (rng.choice((0, 0, rng.randint(0, k))), rng.randint(0, k))
+
+    floors = [[pair() for _ in shape] for shape in _SHAPES]
+    parents = [-1]
+    pairs = [pair()]
+    while True:
+        i = rng.randrange(len(_SHAPES))
+        if len(parents) + len(_SHAPES[i]) > 9:
+            break
+        base = len(parents)
+        top = 0 if rng.random() < 0.7 else -1
+        parents += [top if p == -1 else base + p for p in _SHAPES[i]]
+        pairs += [pair()] + floors[i][1:] if rng.random() < 0.3 else floors[i]
+    return RootedTreeModel(parents), KAssignment(k, tuple(pairs))
+
+
+def test_gamma_wkL_matches_oracle_on_repeated_subtrees():
+    """The DP shares one table among equal subtrees; values and witnesses
+    must stay those of a DP that computes each vertex alone."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        m, L = _repeated_subtrees(rng, k, uniform=seed % 2 == 0)
+        g = m.derived_graph()
+        val, wit = gamma_wkL(m, L)
+        assert val == exact_weight_variant(g, "weak_kL", k, assignment=L).value, (
+            m.parents, L.pairs)
+        ok, _ = is_weak_kL(g, wit, L)
+        assert ok and weight_cost(wit) == val
+
+
 def test_forest_additivity():
     m = RootedTreeModel((-1, 0, -1, 2, 2))
     k = 2
@@ -265,5 +309,40 @@ def test_large_model_fast():
     t0 = time.time()
     val, wit = gamma_wk_tp(m, 8)
     assert time.time() - t0 < 3.0
-    g_ok = weight_cost(wit) == val
-    assert g_ok and val >= 1
+    assert val == 8 and weight_cost(wit) == val
+    assert is_weak_k(m, wit)[0]
+
+
+def _tree_sizes(m):
+    """The number of vertices in each tree of the forest."""
+    root = list(range(m.n))
+    for v in m.order:  # top down: a parent's root is known first
+        if m.parents[v] != -1:
+            root[v] = root[m.parents[v]]
+    return list(Counter(root).values())
+
+
+def test_gamma_wk_closed_form_on_forests():
+    """Each root is adjacent to its whole tree, so weak {k} costs
+    min(k, |T_r|) per tree: k on the root, or 1 on every vertex.  The
+    forests run to 10^4 vertices, and the shallow ones hold many equal
+    stars, whose tables the DP shares."""
+    rng = random.Random(11)
+    forests = []
+    for n in (1, 7, 60, 900, 10_000):
+        forests.append(random_tree_model(n, n))
+        forests.append(RootedTreeModel([rng.randrange(-1, v) for v in range(n)]))
+    for leaves in (0, 1, 3, 9):  # stars of equal size, then a few odd ones
+        parents = []
+        for _ in range(10_000 // (leaves + 1)):
+            r = len(parents)
+            parents += [-1] + [r] * leaves
+        for _ in range(20):
+            parents.append(rng.randrange(-1, len(parents)))
+        forests.append(RootedTreeModel(parents))
+    for m in forests:
+        sizes = _tree_sizes(m)
+        for k in (1, 2, 3, 8):
+            val, wit = gamma_wk_tp(m, k)
+            assert val == sum(min(k, size) for size in sizes), (m.n, k)
+            assert weight_cost(wit) == val and is_weak_k(m, wit)[0]
