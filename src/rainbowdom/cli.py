@@ -30,7 +30,6 @@ from .cograph import Cotree
 from .trivially_perfect import parse_assignment
 from .gadgets import render_split_partition
 from .generators import FAMILIES, generate
-from .harness import CertificationPlan, default_plan, run_plan
 from .registry import AUTO, PROBLEMS, REGISTRY
 
 
@@ -205,6 +204,7 @@ def _parse_graph_file(path: str) -> Graph:
 
 
 def cmd_verify(args) -> int:
+    from .harness import CertificationPlan, default_plan, run_plan
     if args.workers < 1:
         _fail(f"--workers must be at least 1, got {args.workers}")
     _oracle_cap()

@@ -32,7 +32,7 @@ from .oracle import (
     exact_weight_variant,
 )
 from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph
-from .trivially_perfect import RootedTreeModel
+from .trivially_perfect import RootedTreeModel, gamma_wkL
 from .interval import IntervalModel
 from .permutation import diagram_to_graph
 from .bipartite import BipartiteInstance, complete_bipartite_graph
@@ -703,15 +703,14 @@ def check_tp_cert(rng, max_n, ks, assignments, jk_max):
 def check_tp_rainbow_equality(rng, max_n, ks):
     """The rainbow number equals the weak number on every forest model: the
     table's rainbow entry against the rainbow oracle, then its value
-    against the table's weak entry."""
-    weak = REGISTRY["trivially-perfect"].solvers["weak"]
+    against the weak number from the forest DP at uniform floors."""
     count = 0
     for model in enumerate_rooted_forests(max_n):
         g = model.derived_graph()
         for k in ks:
             value, _w, fault = _compare("trivially-perfect", "rainbow", g, model, k)
             if not fault:
-                weak_value = weak(model, k, None, None)[0]
+                weak_value = gamma_wkL(model, KAssignment.uniform(k, model.n))[0]
                 if weak_value != value:
                     fault = f"rainbow={value} weak={weak_value}"
             if fault:

@@ -30,6 +30,7 @@ from .p4sparse import recognize_p4sparse
 from .trivially_perfect import (
     RootedTreeModel,
     build_tree_model,
+    gamma_rk_tp,
     gamma_wkL,
     gamma_wk_tp,
     jk_domination_tp,
@@ -192,13 +193,13 @@ REGISTRY: dict[str, GraphClass] = {
         to_graph=cotree_to_graph,
     ),
     "trivially-perfect": GraphClass(
-        {"rainbow": lambda m, k, j, L: rainbow_cograph(m.to_cotree(), k),
+        {"rainbow": lambda m, k, j, L: gamma_rk_tp(m, k),
          "weak": lambda m, k, j, L: gamma_wk_tp(m, k),
          "jkdom": lambda m, k, j, L: jk_domination_tp(m, j, k),
          "weakL": lambda m, k, j, L: gamma_wkL(m, L)},
         load=parse_tree_model, kind="tree", recognize=_recognize_tp,
-        to_graph=lambda m: m.derived_graph(),
-        sample=_seeded(random_tree_model), timed=gamma_wk_tp,
+        to_graph=lambda m: m.derived_graph(), sample=_seeded(random_tree_model),
+        timed=lambda m, k: gamma_wkL(m, KAssignment.uniform(k, m.n)),
     ),
     "interval": GraphClass(
         {"rainbow": lambda m, k, j, L: rainbow2_interval(build_arrangement(m)),

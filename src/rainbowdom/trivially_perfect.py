@@ -13,8 +13,8 @@ between the minimum and that capacity is realizable by padding, which is
 what a parent buys when its own demand exceeds the children's combined
 minima.  Every vertex of a subtree is a descendant of the whole path above
 it, so a subtree's help to each ancestor equals its internal total and a
-single scalar per side suffices.  Weak {k}-domination is the all-(0, k)
-assignment; values are certified against the brute-force oracle.
+single scalar per side suffices.  Weak {k} and rainbow, equal on this
+class, cost min(k, |T|) per tree T; values are certified by the oracle.
 
 A vertex's table and picks are a function of its floor, its demand and its
 children's tables, so one cache keyed on (floor, demand, child tables)
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cograph import Cotree, CotreeBuilder
 from .graph import Graph, _vertex_rows
-from .semantics import KAssignment, WeightFunction
+from .semantics import KAssignment, RainbowFunction, WeightFunction
 from .oracle import InfeasibleInstance
 
 __all__ = [
@@ -47,6 +46,7 @@ __all__ = [
     "build_tree_model",
     "gamma_wkL",
     "gamma_wk_tp",
+    "gamma_rk_tp",
     "jk_domination_tp",
     "random_tree_model",
 ]
@@ -141,25 +141,6 @@ class RootedTreeModel:
                 above[v] = above[p] + (p,)
                 adj[v].update(above[v])
         return Graph(n, adj=adj)
-
-    def to_cotree(self) -> Cotree:
-        """The cotree of the modeled graph: each vertex joined with the
-        union of its children's cotrees, and the roots under one union."""
-        if not self.n:
-            raise ValueError("empty forest has no cotree")
-        b = CotreeBuilder()
-        node = [-1] * self.n
-
-        def union(vs) -> int:
-            acc = node[vs[0]]
-            for c in vs[1:]:
-                acc = b.node("U", acc, node[c])
-            return acc
-
-        for v in reversed(self.order):  # children first
-            ch = self.children[v]
-            node[v] = b.node("J", b.leaf(v), union(ch)) if ch else b.leaf(v)
-        return b.tree(union(self.roots))
 
 
 def parse_tree_model(text: str) -> RootedTreeModel:
@@ -343,9 +324,28 @@ def gamma_wkL(model: RootedTreeModel, L: KAssignment):
     return value, WeightFunction(L.k, tuple(weights))
 
 
+def _closed_form_weights(model: RootedTreeModel, k: int) -> list[int]:
+    """Weight k on each root whose tree T has at least k vertices, else 1 on
+    all of T: the root sees T, and a zero vertex needs k around it."""
+    root, size = list(range(model.n)), [1] * model.n  # size: of a root's tree
+    for v in model.order:  # top down: a parent's root is known first
+        if model.parents[v] != -1:
+            root[v] = root[model.parents[v]]
+            size[root[v]] += 1
+    return [1 if size[r] < k else k if v == r else 0 for v, r in enumerate(root)]
+
+
 def gamma_wk_tp(model: RootedTreeModel, k: int):
-    """Weak {k}-domination via the all-(0,k) assignment."""
-    return gamma_wkL(model, KAssignment.uniform(k, model.n))
+    """Weak {k}-domination number and witness in O(n), for any k."""
+    weights = _closed_form_weights(model, k)
+    return sum(weights), WeightFunction(k, tuple(weights))
+
+
+def gamma_rk_tp(model: RootedTreeModel, k: int):
+    """k-rainbow domination in O(n): weight w becomes the colours 1..w."""
+    weights = _closed_form_weights(model, k)
+    labels = {w: frozenset(range(1, w + 1)) for w in set(weights)}
+    return sum(weights), RainbowFunction(k, tuple([labels[w] for w in weights]))
 
 
 def jk_domination_tp(model: RootedTreeModel, j: int, k: int):

@@ -330,6 +330,25 @@ def test_registry_imports_neither_cli_nor_harness():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_harness_unloaded():
+    # solve never runs the certification harness, so importing the command
+    # line must not compile it; verify imports it when it runs
+    import os
+
+    import rainbowdom
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, rainbowdom.cli; print('rainbowdom.harness' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("cls, name, text", [
     ("cograph", "p3.cotree", "(J (U 0 1) 2)\n"),
     ("trivially-perfect", "p3.tree", "0 2\n1 2\n2 -1\n"),

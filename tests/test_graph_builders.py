@@ -18,6 +18,7 @@ from rainbowdom.cograph import (
     cotree_to_graph,
     parse_cotree,
     random_cotree,
+    recognize_cograph,
 )
 from rainbowdom.graph import (
     Graph,
@@ -391,9 +392,9 @@ def test_rainbow_check_at_large_k_same_on_model_and_graph():
     k = 1000
     star = [-1 if v % 1200 == 0 else v - v % 1200 for v in range(2400)]
     forest = RootedTreeModel(star)
-    tree = forest.to_cotree()
+    g = forest.derived_graph()
+    tree = recognize_cograph(g)
     for cls, model in (("trivially-perfect", forest), ("cograph", tree)):
-        g = forest.derived_graph()
         value, witness = REGISTRY[cls].solvers["rainbow"](model, k, None, None)
         assert value == 2 * k and check_witness("rainbow", model, value, witness) is None
         labels = witness.labels

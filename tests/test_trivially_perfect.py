@@ -1,4 +1,7 @@
+import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -8,6 +11,7 @@ import pytest
 from rainbowdom.graph import Graph
 from rainbowdom.semantics import (
     KAssignment,
+    check_witness,
     is_jk_dom,
     is_weak_k,
     is_weak_kL,
@@ -22,6 +26,7 @@ from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     TPRefusal,
     build_tree_model,
+    gamma_rk_tp,
     gamma_wkL,
     gamma_wk_tp,
     jk_domination_tp,
@@ -31,37 +36,13 @@ from rainbowdom.trivially_perfect import (
     render_assignment,
     render_tree_model,
 )
-from rainbowdom.cograph import cotree_to_graph, rainbow_cograph
+from rainbowdom.cograph import rainbow_cograph, recognize_cograph
 from rainbowdom.harness import enumerate_rooted_forests
 
 
 def test_model_roundtrip():
     m = RootedTreeModel((-1, 0, 0, 1))
     assert parse_tree_model(render_tree_model(m)).parents == m.parents
-
-
-def test_to_cotree_encodes_the_derived_graph():
-    for m in enumerate_rooted_forests(7):
-        assert cotree_to_graph(m.to_cotree()) == m.derived_graph(), m.parents
-    # a path model of depth d is the complete graph K_d, so the graphs are
-    # compared past the recursion limit and the 5,000-deep path is solved
-    deep = sys.getrecursionlimit() + 200
-    path = RootedTreeModel([-1] + list(range(deep - 1)))
-    assert cotree_to_graph(path.to_cotree()) == path.derived_graph()
-    path = RootedTreeModel([-1] + list(range(4999)))
-    t = path.to_cotree()
-    assert t.n == 5000
-    for k in (1, 2, 3):
-        value, f = rainbow_cograph(t, k)
-        assert value == gamma_wk_tp(path, k)[0] == k
-        # on a complete graph, a labelling is rainbow iff it uses every color
-        assert frozenset().union(*f.labels) == frozenset(range(1, k + 1))
-        assert sum(map(len, f.labels)) == k
-
-
-def test_to_cotree_rejects_empty_forest():
-    with pytest.raises(ValueError):
-        RootedTreeModel(()).to_cotree()
 
 
 def test_model_rejects_cycles():
@@ -139,9 +120,9 @@ def test_forest_dp_outputs_pinned():
     val, wit = gamma_wkL(three_roots, L)
     assert (val, wit.weights) == (6, (1, 0, 1, 0, 0, 2, 1, 0, 0, 1))
 
-    val, wit = gamma_wk_tp(RootedTreeModel((-1, 0, 0, 0)), 2)
+    val, wit = gamma_wkL(RootedTreeModel((-1, 0, 0, 0)), KAssignment.uniform(2, 4))
     assert (val, wit.weights) == (2, (2, 0, 0, 0))
-    val, wit = gamma_wk_tp(RootedTreeModel((-1, 0, 1, 2, 3, 4)), 4)
+    val, wit = gamma_wkL(RootedTreeModel((-1, 0, 1, 2, 3, 4)), KAssignment.uniform(4, 6))
     assert (val, wit.weights) == (4, (0, 0, 0, 1, 1, 2))
 
 
@@ -251,7 +232,7 @@ def test_gamma_rk_matches_rainbow_oracle():
         m = random_tree_model(n, 77 + seed)
         g = m.derived_graph()
         for k in (1, 2, 3):
-            assert gamma_wk_tp(m, k)[0] == exact_rainbow(g, k, cap=24).value
+            assert gamma_rk_tp(m, k)[0] == exact_rainbow(g, k, cap=24).value
 
 
 def test_jk_level_rule_examples():
@@ -307,7 +288,7 @@ def test_jk_matches_oracle_randomized():
 def test_large_model_fast():
     m = random_tree_model(100_000, 7)
     t0 = time.time()
-    val, wit = gamma_wk_tp(m, 8)
+    val, wit = gamma_wkL(m, KAssignment.uniform(8, m.n))
     assert time.time() - t0 < 3.0
     assert val == 8 and weight_cost(wit) == val
     assert is_weak_k(m, wit)[0]
@@ -323,10 +304,12 @@ def _tree_sizes(m):
 
 
 def test_gamma_wk_closed_form_on_forests():
-    """Each root is adjacent to its whole tree, so weak {k} costs
-    min(k, |T_r|) per tree: k on the root, or 1 on every vertex.  The
-    forests run to 10^4 vertices, and the shallow ones hold many equal
-    stars, whose tables the DP shares."""
+    """Each root is adjacent to its whole tree, so weak {k} and k-rainbow
+    cost min(k, |T_r|) per tree: k on the root, or 1 on every vertex.  The
+    closed forms must agree with the forest DP at uniform floors and with
+    the cotree rainbow DP on the recognized cotree.  The forests run to
+    10^4 vertices, and the shallow ones hold many equal stars, whose tables
+    the DP shares."""
     rng = random.Random(11)
     forests = []
     for n in (1, 7, 60, 900, 10_000):
@@ -342,7 +325,57 @@ def test_gamma_wk_closed_form_on_forests():
         forests.append(RootedTreeModel(parents))
     for m in forests:
         sizes = _tree_sizes(m)
+        cotree = recognize_cograph(m.derived_graph())
         for k in (1, 2, 3, 8):
-            val, wit = gamma_wk_tp(m, k)
+            val, wit = gamma_wkL(m, KAssignment.uniform(k, m.n))
             assert val == sum(min(k, size) for size in sizes), (m.n, k)
             assert weight_cost(wit) == val and is_weak_k(m, wit)[0]
+            assert rainbow_cograph(cotree, k)[0] == val, (m.n, k)
+            for problem, solve in (("weak", gamma_wk_tp), ("rainbow", gamma_rk_tp)):
+                value, f = solve(m, k)
+                assert value == val and check_witness(problem, m, value, f) is None
+
+
+def test_closed_forms_match_oracle_on_every_small_forest():
+    for m in enumerate_rooted_forests(7):
+        g = m.derived_graph()
+        for k in (1, 2, 3):
+            wv, w = gamma_wk_tp(m, k)
+            rv, f = gamma_rk_tp(m, k)
+            assert wv == exact_weight_variant(g, "weak_k", k).value, (m.parents, k)
+            assert rv == exact_rainbow(g, k, cap=g.n * k).value, (m.parents, k)
+            assert check_witness("weak", m, wv, w) is None
+            assert check_witness("rainbow", m, rv, f) is None
+
+
+@pytest.mark.parametrize("problem", ["weak", "rainbow"])
+def test_closed_forms_at_huge_k_on_a_small_model(tmp_path, problem):
+    """Nothing grows with k: a wrapper process solves the three-vertex star
+    at k = 10^8 and reports its child's peak RSS.  The child's address-space
+    limit makes a regression fail fast instead of filling the host's
+    memory."""
+    import rainbowdom
+
+    (tmp_path / "star.tree").write_text("0 -1\n1 0\n2 0\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "rainbowdom.cli", "solve", "--problem", problem,
+            "--k", str(10**8), "--class", "trivially-perfect",
+            "--model", str(tmp_path / "star.tree")]
+    code = (
+        "import json, resource, subprocess\n"
+        "def limit():\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"out = subprocess.run({argv!r}, capture_output=True, text=True,\n"
+        "                     preexec_fn=limit, timeout=60)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+        "print(json.dumps([out.returncode, out.stdout, out.stderr, peak]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, out, err, peak_mb = json.loads(proc.stdout)
+    assert rc == 0, err
+    assert out == "3\n"
+    assert peak_mb < 100
