@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _header
 from .semantics import KAssignment, WeightFunction
 
 __all__ = [
@@ -90,7 +90,7 @@ def parse_bipartite_instance(text: str) -> BipartiteInstance:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) != 3:
         raise ValueError("expected exactly three lines")
-    n1, n2, k = (int(x) for x in lines[0].split())
+    n1, n2, k = _header(lines[0], 3)
     b1 = [int(x) for x in lines[1].split()]
     b2 = [int(x) for x in lines[2].split()]
     if len(b1) != n1 or len(b2) != n2:

@@ -92,8 +92,8 @@ class IntervalModel:
 
 def parse_intervals(text: str) -> IntervalModel:
     """n lines ``v left right``."""
-    rows = _vertex_rows(text, 3, "interval", "intervals must cover vertices")
-    return IntervalModel(tuple((int(lo), int(hi)) for _v, lo, hi in rows))
+    lo, hi = _vertex_rows(text, 3, "interval", "intervals must cover vertices")
+    return IntervalModel(tuple(zip(lo, hi)))
 
 
 def render_intervals(m: IntervalModel) -> str:

@@ -145,8 +145,8 @@ class RootedTreeModel:
 
 def parse_tree_model(text: str) -> RootedTreeModel:
     """n lines ``v parent`` with -1 marking roots."""
-    rows = _vertex_rows(text, 2, "model", "model must list each vertex")
-    return RootedTreeModel([int(parent) for _v, parent in rows])
+    parents, = _vertex_rows(text, 2, "model", "model must list each vertex")
+    return RootedTreeModel(parents)
 
 
 def render_tree_model(model: RootedTreeModel) -> str:
@@ -155,8 +155,8 @@ def render_tree_model(model: RootedTreeModel) -> str:
 
 def parse_assignment(text: str, k: int) -> KAssignment:
     """n lines ``v a b``."""
-    rows = _vertex_rows(text, 3, "assignment", "assignment must list each vertex")
-    return KAssignment(k, tuple([(int(a), int(b)) for _v, a, b in rows]))
+    a, b = _vertex_rows(text, 3, "assignment", "assignment must list each vertex")
+    return KAssignment(k, tuple(zip(a, b)))
 
 
 def render_assignment(L: KAssignment) -> str:

@@ -105,6 +105,48 @@ def test_parse_failure_exit_2(tmp_path):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("header", ["3000000 0", "99999999999 0"])
+def test_hostile_vertex_count_exit_2(tmp_path, header):
+    # the header's n sizes the neighbour lists, so it is refused before
+    # anything is allocated; 3000000 used to end in a MemoryError traceback
+    # and 99999999999 in a hang
+    import os
+
+    import rainbowdom
+
+    bad = tmp_path / "big.graph"
+    bad.write_text(header)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdom.cli", "solve", "--problem", "weak",
+         "--k", "2", "--class", "auto", "--graph", str(bad)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    n = header.split()[0]
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: cannot parse graph: vertex count {n} exceeds the limit of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("header", ["2 1", "2 1 2 9", "2 x 2"])
+def test_bipartite_header_wording(tmp_path, header):
+    # a header without three integers is worded as such, not by Python's
+    # tuple unpacking
+    (tmp_path / "inst").write_text(f"{header}\n5\n1 2\n")
+    code, out, err = run_cli(
+        "solve", "--problem", "weakL", "--k", "2", "--class", "complete-bipartite",
+        "--model", str(tmp_path / "inst"),
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: cannot parse model for class complete-bipartite: "
+        f"malformed header line: {header!r}\n"
+    )
+
 def test_oracle_cap_exit_3(tmp_path):
     run_cli("generate", "random", "30", "0.5", "--out", str(tmp_path / "big"))
     code, _o, err = run_cli(
