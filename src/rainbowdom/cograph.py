@@ -65,6 +65,7 @@ __all__ = [
     "kdom_cograph",
     "random_cotree",
     "find_induced_p4",
+    "induced_p4s",
 ]
 
 INF = float("inf")
@@ -330,21 +331,28 @@ def parse_cotree(text: str) -> Cotree:
         raise CotreeParseError(str(exc)) from None
 
 
-def find_induced_p4(g: Graph, vertices=None) -> tuple[int, int, int, int] | None:
-    """First induced 4-vertex path (a-b-c-d), scanning in index order."""
-    vs = sorted(vertices) if vertices is not None else list(range(g.n))
+def induced_p4s(g: Graph, vertices=None):
+    """Every induced 4-vertex path (a, b, c, d), with edges ab, bc and cd,
+    in index order of b, then c, a and d.  Each candidate set is one set
+    difference: a in N(b) - N[c], d in N(c) - N[b] - N(a)."""
+    vs = sorted(vertices) if vertices is not None else range(g.n)
     vset = set(vs)
+    nbs = {v: g.neighbors(v) & vset for v in vs}
     for b in vs:
-        for c in sorted(g.neighbors(b) & vset):
-            for a in vs:
-                if a in (b, c) or not g.has_edge(a, b) or g.has_edge(a, c):
-                    continue
-                for d in vs:
-                    if d in (a, b, c):
-                        continue
-                    if g.has_edge(c, d) and not g.has_edge(b, d) and not g.has_edge(a, d):
-                        return (a, b, c, d)
-    return None
+        nbb = nbs[b]
+        for c in sorted(nbb):
+            nbc = nbs[c]
+            starts = nbb - nbc - {c}
+            if starts:
+                ends = nbc - nbb - {b}
+                for a in sorted(starts):
+                    for d in sorted(ends - nbs[a]):
+                        yield (a, b, c, d)
+
+
+def find_induced_p4(g: Graph, vertices=None) -> tuple[int, int, int, int] | None:
+    """First induced 4-vertex path (a-b-c-d) of ``induced_p4s``."""
+    return next(induced_p4s(g, vertices), None)
 
 
 def decompose(g: Graph, stuck):
@@ -352,14 +360,14 @@ def decompose(g: Graph, stuck):
     binarized left to right.
 
     A vertex set of two or more that is neither disconnected nor
-    co-disconnected goes to ``stuck(g, vs)``.  It returns a pair (spider
-    partition, head vertices), and the split goes on with the head, or
-    any other value, which is returned as the refusal.
+    co-disconnected goes to ``stuck(g, vs)``, with vs sorted.  It returns
+    a ``SpiderPartition``, and the split goes on with its head, or any
+    other value, which is returned as the refusal.
 
     The split runs top down on an explicit stack, depth first in part
     order, so the first stuck vertex set does not depend on the depth.
-    It records each node as a vertex (a leaf), (tag, part count) or
-    (spider, has head); node ids follow the reversed list, which builds
+    It records each node as a vertex (a leaf), (tag, part count) or a
+    spider partition; node ids follow the reversed list, which builds
     every subtree before its parent."""
     if g.n == 0:
         raise ValueError("empty graph has no decomposition tree")
@@ -377,20 +385,19 @@ def decompose(g: Graph, stuck):
             records.append((tag, len(parts)))
             todo += reversed(parts)
             continue
-        got = stuck(g, vs)
-        if not isinstance(got, tuple):
-            return got
-        sp, head = got
-        records.append((sp, bool(head)))
-        if head:
-            todo.append(head)
+        sp = stuck(g, vs)
+        if not isinstance(sp, SpiderPartition):
+            return sp
+        records.append(sp)
+        if sp.head:
+            todo.append(list(sp.head))
     b = CotreeBuilder()
     done: list[int] = []  # finished subtree roots, the leftmost part on top
     for rec in reversed(records):
         if isinstance(rec, int):
             done.append(b.leaf(rec))
-        elif isinstance(rec[0], SpiderPartition):
-            done.append(b.spider_node(rec[0], done.pop() if rec[1] else -1))
+        elif isinstance(rec, SpiderPartition):
+            done.append(b.spider_node(rec, done.pop() if rec.head else -1))
         else:
             tag, m = rec
             node = done.pop()

@@ -58,6 +58,8 @@ __all__ = [
 
 DEFAULT_VERTEX_CAP = 24
 DEFAULT_NODE_BUDGET = 20_000_000
+# label vectors ``exact_rainbow_direct`` may enumerate, (2^k)^n
+DIRECT_WORK_CAP = 10_000_000
 
 
 class OracleCapExceeded(RuntimeError):
@@ -252,9 +254,7 @@ def exact_rainbow(
     return OracleResult(len(chosen), f, nodes)
 
 
-def exact_rainbow_direct(
-    g: Graph, k: int, work_cap: int = 10_000_000
-) -> OracleResult:
+def exact_rainbow_direct(g: Graph, k: int) -> OracleResult:
     """Independent rainbow oracle: branch and bound over label vectors.
 
     Exponential in n and k; intended as a cross-check of the product route
@@ -265,7 +265,7 @@ def exact_rainbow_direct(
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.n
-    if (1 << k) ** n > work_cap:
+    if (1 << k) ** n > DIRECT_WORK_CAP:
         raise OracleCapExceeded("label space exceeds the work cap")
     if n == 0:
         return OracleResult(0, RainbowFunction(k, ()), 0)
@@ -366,19 +366,10 @@ def exact_weight_variant(
 
     closed = [sorted(g.neighbors(v) | {v}) for v in range(n)]
 
-    def valid_cost(weights: list[int]) -> int | None:
-        for v in range(n):
-            if weights[v] < lo[v]:
-                return None
-            if conditional:
-                if weights[v] == 0 and sum(weights[u] for u in closed[v]) < thr[v]:
-                    return None
-            else:
-                if sum(weights[u] for u in closed[v]) < k:
-                    return None
-        return sum(weights)
-
-    # seed the incumbent with cheap valid solutions
+    # seed the incumbent with cheap functions, each valid by construction:
+    # the all-ones and all-max(a_v, 1) vectors leave no zero vertex, the
+    # all-j vector reaches k on every closed neighbourhood by the (j,k)
+    # test above, and weight k on a dominating set covers every one
     seeds = []
     if variant == "weak_k":
         seeds.append([1] * n)
@@ -394,13 +385,8 @@ def exact_weight_variant(
         for v in dom:
             w[v] = k
         seeds.append(w)
-    best_cost = None
-    best_weights = None
-    for s in seeds:
-        c = valid_cost(s)
-        if c is not None and (best_cost is None or c < best_cost):
-            best_cost, best_weights = c, s
-    assert best_cost is not None and best_weights is not None
+    best_weights = min(seeds, key=sum)
+    best_cost = sum(best_weights)
 
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     # the largest closed neighbourhood among order[i:] is order[i]'s

@@ -5,6 +5,13 @@ Such a graph decomposes by unions, joins and spider nodes into a
 ``Cotree`` (see ``rainbowdom.cograph``, whose ``rainbow_cograph`` solves
 every such tree; its spider rule is certified against the oracle on a
 grid of thin and thick spiders rather than trusted).
+
+Recognition reads only the neighbour sets inside each node's vertex set
+(n vertices).  A spider with s feet is proved by two degree counts
+(``_extract_spider``): thin when the degree-1 vertices meet distinct body
+vertices of degree n - s, thick when the degree-(n - 2) vertices miss
+distinct feet of degree s - 1.  Any other such set is refused with the
+first P4 of ``cograph.induced_p4s`` that a fifth vertex extends to two.
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cograph import SpiderPartition, decompose
-from .graph import Graph, complement
+from .cograph import SpiderPartition, decompose, induced_p4s
+from .graph import Graph
 
 __all__ = [
     "SpiderPartition",
@@ -62,20 +69,10 @@ def count_induced_p4s(g: Graph, vertices) -> int:
     """Number of vertex sets inducing a P4 within the given vertices."""
     count = 0
     for quad in combinations(sorted(vertices), 4):
-        if _induces_p4(g, quad):
-            count += 1
+        q = set(quad)
+        # of the graphs on four vertices, only the P4 has degrees 1, 1, 2, 2
+        count += sorted(len(g.neighbors(v) & q) for v in quad) == [1, 1, 2, 2]
     return count
-
-
-def _induces_p4(g: Graph, quad) -> bool:
-    edges = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
-    if len(edges) != 3:
-        return False
-    deg = {v: 0 for v in quad}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    return sorted(deg.values()) == [1, 1, 2, 2]
 
 
 def is_p4_sparse_bruteforce(g: Graph) -> bool:
@@ -86,54 +83,49 @@ def is_p4_sparse_bruteforce(g: Graph) -> bool:
     return True
 
 
-def _thin_parts(g: Graph):
-    """Read g as a thin spider: feet are exactly the degree-1 vertices and
-    their unique neighbors form the body.  Returns (feet, body, head) in
-    g's own indices, or None."""
-    feet = [v for v in range(g.n) if g.degree(v) == 1]
-    if len(feet) < 2:
-        return None
-    body = []
-    for f in feet:
-        (nb,) = g.neighbors(f)
-        body.append(nb)
-    if len(set(body)) != len(feet):
-        return None
-    head = sorted(set(range(g.n)) - set(feet) - set(body))
-    return tuple(feet), tuple(body), tuple(head)
+def _extract_spider(g: Graph, vs: list[int]) -> SpiderPartition | None:
+    """The spider partition of G[vs], or None, from degrees inside vs.
 
-
-def _extract_spider(g: Graph, vs: list[int]):
-    """Spider partition (in g's original vertex ids) of the subgraph induced
-    by vs, or None.  Thick spiders are found as thin spiders of the
-    complement, which swaps the roles of feet and body."""
-    sub, keep = g.induced(vs)
+    Thin: the s feet are the degree-1 vertices, each matched to its one
+    neighbour.  If the partners are distinct and not feet, a body vertex
+    sees at most its foot, the other s - 1 body vertices and the head, so
+    degree n - s on every body vertex means a clique body that sees the
+    whole head.  Thick: the s body vertices are those of degree n - 2,
+    each matched to its one non-neighbour.  If the partners are distinct
+    and not body vertices, a foot already sees the other s - 1 body
+    vertices, so degree s - 1 means it sees no foot and no head vertex.
+    Thin goes first, so a P4 stays thin; the head is the rest of vs.
+    """
+    vset = set(vs)
+    nbs = {v: g.neighbors(v) & vset for v in vs}
+    n = len(vs)
     kind = "thin"
-    parts = _thin_parts(sub)
-    if parts is None:
-        got = _thin_parts(complement(sub))
-        if got is None:
-            return None
+    feet = [v for v in vs if len(nbs[v]) == 1]
+    body = [next(iter(nbs[f])) for f in feet]
+    s = len(feet)
+    if not (s >= 2 and len(set(body)) == s and set(body).isdisjoint(feet)
+            and all(len(nbs[y]) == n - s for y in body)):
         kind = "thick"
-        feet_c, body_c, head_c = got
-        parts = (body_c, feet_c, head_c)
-    feet_l, body_l, head_l = parts
-    local = SpiderPartition(kind, feet_l, body_l, head_l)
-    if not check_spider(sub, local):
-        return None
-    sp = SpiderPartition(
-        kind,
-        tuple(keep[x] for x in feet_l),
-        tuple(keep[x] for x in body_l),
-        tuple(keep[x] for x in head_l),
-    )
-    return sp, [keep[x] for x in head_l]
+        body = [v for v in vs if len(nbs[v]) == n - 2]
+        feet = [next(iter(vset - nbs[y] - {y})) for y in body]
+        s = len(body)
+        if not (s >= 2 and len(set(feet)) == s and set(feet).isdisjoint(body)
+                and all(len(nbs[f]) == s - 1 for f in feet)):
+            return None
+    used = set(feet).union(body)
+    return SpiderPartition(kind, tuple(feet), tuple(body),
+                           tuple(v for v in vs if v not in used))
 
 
 def _refusal(g: Graph, vs: list[int]) -> P4SparseRefusal:
-    for five in combinations(sorted(vs), 5):
-        if count_induced_p4s(g, five) > 1:
-            return P4SparseRefusal(five)
+    """The first P4 of the scan that one more vertex of vs, taken in
+    order, extends to five vertices inducing two P4s."""
+    for p4 in induced_p4s(g, vs):
+        for x in vs:
+            if x not in p4:
+                five = tuple(sorted((*p4, x)))
+                if count_induced_p4s(g, five) > 1:
+                    return P4SparseRefusal(five)
     raise AssertionError("undecomposable subgraph must break the 5-vertex rule")
 
 

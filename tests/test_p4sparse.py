@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from rainbowdom.cograph import (
     cotree_to_graph,
     parse_cotree,
     rainbow_cograph,
+    recognize_cograph,
 )
 from rainbowdom.p4sparse import (
     P4SparseRefusal,
@@ -196,3 +198,53 @@ def test_union_of_two_thin_spiders_additive():
     g = cotree_to_graph(t)
     v, w = rainbow_cograph(t, 1)
     assert v == 4 == exact_rainbow(g, 1, cap=24).value
+
+
+def _genuine_refusal(g: Graph, ref) -> bool:
+    return (isinstance(ref, P4SparseRefusal) and len(set(ref.witness)) == 5
+            and count_induced_p4s(g, ref.witness) >= 2)
+
+
+def test_single_edge_flips_of_spiders_match_bruteforce():
+    # past the exhaustive sizes: every graph one edge away from a spider
+    # (up to 10 vertices) is accepted exactly when it is P4-sparse
+    rng = random.Random(25)
+    grid = [("thin", s, h) for s in (2, 3, 4) for h in (0, 1, 2)]
+    grid += [("thick", s, h) for s in (3, 4) for h in (0, 1, 2)]
+    accepted = refused = 0
+    for kind, s, head in grid:
+        g, _ = generate(f"{kind}_spider", s, head)
+        label = list(range(g.n))
+        rng.shuffle(label)
+        edges = {tuple(sorted((label[u], label[v]))) for u, v in g.edges}
+        for pair in itertools.combinations(range(g.n), 2):
+            flipped = Graph(g.n, edges ^ {pair})
+            got = recognize_p4sparse(flipped)
+            if is_p4_sparse_bruteforce(flipped):
+                assert isinstance(got, Cotree) and cotree_to_graph(got) == flipped
+                accepted += 1
+            else:
+                assert _genuine_refusal(flipped, got), (kind, s, head, pair)
+                refused += 1
+    assert accepted and refused
+
+
+def clique_with_tail(n: int) -> Graph:
+    """A clique on 0..a with the path a, a+1, .., a+4 hung from a (n = a + 5):
+    connected, co-connected and no spider, so both recognizers refuse the
+    whole vertex set."""
+    a = n - 5
+    path = [(a + i, a + i + 1) for i in range(4)]
+    return Graph(n, list(itertools.combinations(range(a + 1), 2)) + path)
+
+
+def test_refusals_on_a_large_prime_graph_are_quick():
+    g = clique_with_tail(300)
+    start = time.perf_counter()
+    cograph_ref = recognize_cograph(g)
+    p4sparse_ref = recognize_p4sparse(g)
+    assert time.perf_counter() - start < 5
+    a, b, c, d = cograph_ref.p4
+    assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
+    assert not (g.has_edge(a, c) or g.has_edge(b, d) or g.has_edge(a, d))
+    assert _genuine_refusal(g, p4sparse_ref)
