@@ -4,11 +4,6 @@ structured graph classes, certified against brute-force oracles."""
 from .graph import (
     Graph,
     GraphParseError,
-    cartesian_product_complete,
-    closed_neighborhood,
-    complement,
-    graph_join,
-    graph_union,
     parse_graph,
     render_graph,
 )

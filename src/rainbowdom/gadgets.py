@@ -2,11 +2,12 @@
 
 Attaching k-1 pendant vertices to every clique vertex of a split graph
 shifts both the k-rainbow and the weak {k} domination numbers by exactly
-|C|*(k-1) over the plain domination number.  The construction, the
-witness normalization used in the argument (pendants carry at most one
-color / at most unit weight) and the extraction of a dominating set from
-a normalized witness are all executable here, so the identities become
-tests run against the exact oracle.
+|C|*(k-1) over the plain domination number.  The construction is here,
+and ``verify_gadget_identities`` checks both identities against the exact
+oracle.  The witness normalizations used in the argument (pendants carry
+at most one color / at most unit weight) and the extraction of a
+dominating set from a normalized witness run in the tests, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -15,23 +16,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph
-from .semantics import (
-    RainbowFunction,
-    WeightFunction,
-)
 
 __all__ = [
     "SplitPartition",
     "split_partition",
-    "parse_split_partition",
     "render_split_partition",
     "pendant_gadget",
     "GadgetInfo",
     "GadgetReport",
     "verify_gadget_identities",
-    "normalize_gadget_rainbow",
-    "normalize_gadget_weights",
-    "extract_dominating_set",
 ]
 
 
@@ -80,16 +73,6 @@ def split_partition(g: Graph):
     return None
 
 
-def parse_split_partition(text: str) -> SplitPartition:
-    """Two lines: the clique side, then the independent side."""
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise ValueError("expected two lines: clique side then independent side")
-    C = frozenset(int(x) for x in lines[0].split())
-    I = frozenset(int(x) for x in lines[1].split())
-    return SplitPartition(C, I)
-
-
 def render_split_partition(p: SplitPartition) -> str:
     return (
         " ".join(map(str, sorted(p.C)))
@@ -105,13 +88,6 @@ class GadgetInfo:
 
     k: int
     pendants: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def pendant_of(self) -> dict:
-        owner = {}
-        for c, ps in self.pendants:
-            for p in ps:
-                owner[p] = c
-        return owner
 
 
 def pendant_gadget(g: Graph, part: SplitPartition, k: int):
@@ -132,40 +108,6 @@ def pendant_gadget(g: Graph, part: SplitPartition, k: int):
             nxt += 1
         pendants.append((c, tuple(mine)))
     return Graph(nxt, edges), GadgetInfo(k, tuple(pendants))
-
-
-def normalize_gadget_rainbow(
-    f: RainbowFunction, info: GadgetInfo
-) -> RainbowFunction:
-    """Push all but one color of any multi-colored pendant onto its clique
-    owner; cost is preserved and the function stays rainbow."""
-    labels = [set(lab) for lab in f.labels]
-    for p, c in info.pendant_of().items():
-        if len(labels[p]) > 1:
-            keep = min(labels[p])
-            labels[c] |= labels[p] - {keep}
-            labels[p] = {keep}
-    return RainbowFunction(f.k, tuple(frozenset(s) for s in labels))
-
-
-def normalize_gadget_weights(
-    w: WeightFunction, info: GadgetInfo
-) -> WeightFunction:
-    """Cap pendant weights at one, moving the excess onto the owner."""
-    weights = list(w.weights)
-    for p, c in info.pendant_of().items():
-        if weights[p] > 1:
-            weights[c] = min(w.k, weights[c] + weights[p] - 1)
-            weights[p] = 1
-    return WeightFunction(w.k, tuple(weights))
-
-
-def extract_dominating_set(witness, n_original: int) -> set[int]:
-    """Original vertices carrying anything; for a normalized witness of the
-    gadget this is a dominating set of the original graph."""
-    if isinstance(witness, RainbowFunction):
-        return {v for v in range(n_original) if witness.labels[v]}
-    return {v for v in range(n_original) if witness.weights[v] > 0}
 
 
 @dataclass(frozen=True)

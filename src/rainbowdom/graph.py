@@ -1,9 +1,10 @@
-"""Immutable simple-graph representation, edge-list I/O, and the product
-construction behind the exact rainbow oracle (which searches its closed
-neighbourhoods without building it).
+"""Immutable simple-graph representation and edge-list I/O.
 
 Vertices are dense 0-indexed integers.  Graph values never mutate after
-construction, so they can be shared freely between workers.
+construction, so they can be shared freely between workers.  Unions,
+joins, complements and the product behind the exact rainbow oracle (which
+searches its closed neighbourhoods without building it) are built only by
+the tests, in ``tests/reference.py``.
 
 Files of whitespace-separated integer lines share one bulk reader,
 ``_columns``: one split of the whole text, with each ``\n`` made a marker
@@ -23,11 +24,6 @@ __all__ = [
     "MAX_VERTICES",
     "parse_graph",
     "render_graph",
-    "closed_neighborhood",
-    "cartesian_product_complete",
-    "graph_union",
-    "graph_join",
-    "complement",
 ]
 
 
@@ -104,14 +100,6 @@ class Graph:
     def m(self) -> int:
         return sum(map(len, self._adj)) // 2
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph plus the list mapping new indices to old ones."""
-        keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        kept = set(keep)
-        adj = [{index[w] for w in self._adj[v] & kept} for v in keep]
-        return Graph(len(keep), adj=adj), keep
-
     def components(self, vertices: Iterable[int] | None = None) -> list[list[int]]:
         """Connected components of G[vertices] (default: all of G), each
         sorted, ordered by smallest vertex.  Builds no subgraph."""
@@ -163,9 +151,6 @@ class Graph:
             comp.sort()
             comps.append(comp)
         return comps
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -332,54 +317,3 @@ def render_graph(g: Graph) -> str:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    """N(v) together with v itself."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    return g.neighbors(v) | {v}
-
-
-def cartesian_product_complete(g: Graph, k: int) -> Graph:
-    """Cartesian product of g with a complete graph on k vertices.
-
-    Vertex (v, c) maps to index v*k + c.  Two product vertices are adjacent
-    when they share the graph coordinate and differ in the complete-graph
-    coordinate, or vice versa.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    adj = []
-    for v, nb in enumerate(g._adj):
-        row = range(v * k, v * k + k)
-        for c in range(k):
-            s = {u * k + c for u in nb}
-            s.update(row)
-            s.discard(v * k + c)
-            adj.append(s)
-    return Graph(g.n * k, adj=adj)
-
-
-def graph_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are shifted up by a.n."""
-    shifted = [{x + a.n for x in nb} for nb in b._adj]
-    return Graph(a.n + b.n, adj=list(a._adj) + shifted)
-
-
-def graph_join(a: Graph, b: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    g = graph_union(a, b)
-    side_a, side_b = range(a.n), range(a.n, g.n)
-    adj = [nb.union(side_b) for nb in g._adj[:a.n]]
-    adj += [nb.union(side_a) for nb in g._adj[a.n:]]
-    return Graph(g.n, adj=adj)
-
-
-def complement(g: Graph) -> Graph:
-    everyone = set(range(g.n))
-    adj = []
-    for v, nb in enumerate(g._adj):
-        s = everyone - nb
-        s.discard(v)
-        adj.append(s)
-    return Graph(g.n, adj=adj)

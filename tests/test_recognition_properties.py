@@ -16,13 +16,15 @@ from rainbowdom.cograph import (
     random_cotree,
     recognize_cograph,
 )
-from rainbowdom.graph import Graph, complement
+from rainbowdom.graph import Graph
 from rainbowdom.p4sparse import P4SparseRefusal, recognize_p4sparse
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     TPRefusal,
     build_tree_model,
 )
+
+from reference import complement, induced
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -60,7 +62,7 @@ def is_induced_c4(g: Graph, quad) -> bool:
 @given(gnp(max_n=10), st.data())
 def test_subset_splits_match_induced_subgraph(g, data):
     subset = data.draw(st.sets(st.integers(0, g.n - 1)))
-    sub, keep = g.induced(subset)
+    sub, keep = induced(g, subset)
     want = [[keep[i] for i in c] for c in sub.components()]
     want_co = [[keep[i] for i in c] for c in complement(sub).components()]
     assert g.components(subset) == want

@@ -37,7 +37,7 @@ from rainbowdom.trivially_perfect import (
     render_tree_model,
 )
 from rainbowdom.cograph import rainbow_cograph, recognize_cograph
-from rainbowdom.harness import enumerate_rooted_forests
+from rainbowdom.harness import enumerate_cographs, enumerate_rooted_forests
 
 
 def test_model_roundtrip():
@@ -75,6 +75,35 @@ def test_build_roundtrip_on_random_models():
         m2 = build_tree_model(g)
         assert isinstance(m2, RootedTreeModel)
         assert m2.derived_graph() == g
+
+
+def test_recognizer_follows_the_cotree_rule_on_every_small_cograph():
+    # a cograph is trivially perfect exactly when no join node has a
+    # non-edge on both of its sides, one from each side making a C4; a side
+    # has no non-edge when all its internal nodes are joins
+    accepted = refused = 0
+    for tree, g in enumerate_cographs(8):
+        clique = [False] * len(tree.kind)
+        c4_join = False
+        for v, kind in enumerate(tree.kind):  # ids are bottom-up
+            if kind == "L":
+                clique[v] = True
+            elif kind == "J":
+                a, b = clique[tree.left[v]], clique[tree.right[v]]
+                clique[v] = a and b
+                c4_join = c4_join or not (a or b)
+        m = build_tree_model(g)
+        if isinstance(m, RootedTreeModel):
+            assert not c4_join
+            assert m.derived_graph() == g
+            accepted += 1
+        else:
+            assert c4_join and m.kind == "C4"
+            quad = set(m.vertices)
+            assert len(quad) == 4
+            assert all(len(g.neighbors(v) & quad) == 2 for v in quad)
+            refused += 1
+    assert (accepted, refused) == (485, 324)
 
 
 def test_two_branch_schedule_counterexample():
