@@ -139,20 +139,19 @@ def _demand_at(sorted_b: tuple[int, ...], count: int) -> int:
 def weakL_complete_bipartite(inst: BipartiteInstance):
     """Minimum total weight, the optimal side totals, and a witness.
 
-    Scans the first side's total x and takes the smallest feasible partner
-    total m(x); the largest useful x is bounded by the size of the first
-    side plus k (beyond that every vertex is already nonzero and demands
-    are capped by k).
+    Scans the first side's total x downward and takes the smallest feasible
+    partner total m(x), ties going to the smallest x.  Above n1 every
+    first-side vertex is nonzero, so x + m(x) grows with x between two
+    consecutive demands of the second side: the scan visits x = 0..n1 and
+    those demands above n1, O(n1 + n2) values whatever k is.
     """
     k = inst.k
     best = None
-    hi = inst.n1 + k
+    above = [b for b in inst.b_prime_sorted if b > inst.n1]
     # the partner total forced by the second side's zero vertices shrinks
     # as x grows, so one descending pointer serves the whole scan
     y_opposite = 0
-    while _demand_at(inst.b_prime_sorted, y_opposite) > hi:
-        y_opposite += 1
-    for x in range(hi, -1, -1):
+    for x in [*above, *range(inst.n1, -1, -1)]:
         while _demand_at(inst.b_prime_sorted, y_opposite) > x:
             y_opposite += 1
         m = max(_demand_at(inst.b_sorted, x), y_opposite)

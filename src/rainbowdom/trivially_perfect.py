@@ -1,5 +1,6 @@
 """Rooted tree models and linear-time weight-domination solvers for graphs
-whose adjacency is the ancestor relation of a rooted forest.
+whose adjacency is the ancestor relation of a rooted forest (the trivially
+perfect graphs), recognized in one pass by degree order.
 
 Weak {k}-L-domination is one bottom-up dynamic program over the forest,
 with each vertex's floor a and demand b read as given: for each subtree and
@@ -155,51 +156,35 @@ def render_assignment(L: KAssignment) -> str:
     return "\n".join(f"{v} {a} {b}" for v, (a, b) in enumerate(L.pairs)) + "\n"
 
 
-def _find_p4_or_c4(g: Graph, comp: set[int]) -> TPRefusal:
-    """Induced P4 or C4 inside a connected vertex set with no universal
-    vertex.  Take v of maximum degree, w in N(v) with a neighbor x outside
-    N[v]; since deg(w) <= deg(v), some y in N(v) - N[w] exists, and
-    y-v-w-x is an induced C4 when y ~ x and an induced P4 otherwise."""
-    adj = g.neighbors
-    v = max(sorted(comp), key=lambda u: len(adj(u) & comp))
-    nv = adj(v) & comp
-    closed_v = nv | {v}
-    for w in sorted(nv):
-        beyond = (adj(w) & comp) - closed_v
-        if beyond:
-            x = min(beyond)
-            y = min(nv - adj(w) - {w})
-            kind = "C4" if g.has_edge(y, x) else "P4"
-            return TPRefusal(kind, tuple(sorted((y, v, w, x))))
-    raise AssertionError("a connected set without universal vertex has distance 2")
-
-
 def build_tree_model(g: Graph):
-    """Model construction by repeatedly extracting a universal vertex of
-    each connected piece; refusal exhibits an induced P4 or C4.
-
-    A piece's outside neighbours are exactly the roots already extracted
-    above it (each was universal in a piece containing it, and pieces are
-    separated), so v is universal in the piece iff
-    deg(v) == |piece| - 1 + depth: one length test per vertex."""
-    degree = [g.degree(v) for v in range(g.n)]
+    """The rooted forest whose ancestor relation is g's adjacency, or a
+    TPRefusal naming an induced P4 or C4, in one pass over the vertices by
+    non-increasing degree, ties by id (Yan, Chen & Chang 1996).  Each
+    vertex's parent p is its last earlier neighbour, and g is accepted when
+    N[v] lies inside N[p] for every such pair: adjacent vertices of a
+    trivially perfect graph have nested closed neighbourhoods, and when the
+    check holds throughout, induction along the order makes each vertex's
+    earlier neighbours exactly its ancestors.  At the first failure, x in
+    N(v) - N[p] and y in N(p) - N[v] (one exists, as deg(p) >= deg(v)) give
+    the induced P4 x-v-p-y, or a C4 when x ~ y."""
+    adj = g.neighbors
+    order = sorted(range(g.n), key=g.degree, reverse=True)  # stable: ties by id
+    pos = [0] * g.n
     parents = [-1] * g.n
-    stack: list[tuple[list[int], int, int]] = [
-        (comp, -1, 0) for comp in reversed(g.components())
-    ]
-    while stack:
-        comp, parent, depth = stack.pop()
-        if len(comp) == 1:
-            parents[comp[0]] = parent
-            continue
-        full = len(comp) - 1 + depth
-        root = next((v for v in comp if degree[v] == full), None)
-        if root is None:
-            return _find_p4_or_c4(g, set(comp))
-        parents[root] = parent
-        rest = [v for v in comp if v != root]
-        for c in reversed(g.components(rest)):
-            stack.append((c, root, depth + 1))
+    placed: set[int] = set()
+    for i, v in enumerate(order):
+        nv = adj(v)
+        above = nv & placed
+        if above:
+            p = parents[v] = max(above, key=pos.__getitem__)
+            beyond = nv - adj(p)  # holds p itself
+            if len(beyond) > 1:
+                x = min(beyond - {p})
+                y = min(adj(p) - nv - {v})
+                kind = "C4" if g.has_edge(x, y) else "P4"
+                return TPRefusal(kind, tuple(sorted((x, v, p, y))))
+        pos[v] = i
+        placed.add(v)
     return RootedTreeModel(parents)
 
 

@@ -450,6 +450,26 @@ def test_rainbow_at_huge_k_on_a_small_model(tmp_path, cls, name, text):
     assert proc.stdout.strip() == "3"
 
 
+def test_complete_bipartite_at_huge_k(tmp_path):
+    # the scan visits O(n1 + n2) side totals, not all k of them: a scan up
+    # to n1 + k would take hours here and hit the timeout
+    import os
+
+    import rainbowdom
+
+    (tmp_path / "k1e9.bip").write_text("1 1 1000000000\n5\n7\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdom.cli", "solve", "--class", "complete-bipartite",
+         "--problem", "weakL", "--k", str(10**9), "--model", str(tmp_path / "k1e9.bip")],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+
+
 def test_weakL_tree_model_with_assignment(tmp_path):
     (tmp_path / "star.tree").write_text("0 -1\n1 0\n2 0\n3 0\n")
     (tmp_path / "L.assign").write_text("0 0 2\n1 0 2\n2 0 2\n3 0 2\n")

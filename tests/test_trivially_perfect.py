@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -104,6 +105,31 @@ def test_recognizer_follows_the_cotree_rule_on_every_small_cograph():
             assert all(len(g.neighbors(v) & quad) == 2 for v in quad)
             refused += 1
     assert (accepted, refused) == (485, 324)
+
+
+def test_recognizer_on_every_graph_with_at_most_six_vertices():
+    # trivially perfect means no four vertices induce a P4 or a C4; within
+    # four vertices those two are the degree sequences below
+    def induces(g, quad):
+        degrees = sorted(len(g.neighbors(v) & set(quad)) for v in quad)
+        return {(1, 1, 2, 2): "P4", (2, 2, 2, 2): "C4"}.get(tuple(degrees))
+
+    accepted = refused = 0
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        quads = list(combinations(range(n), 4))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            m = build_tree_model(g)
+            if isinstance(m, RootedTreeModel):
+                assert not any(induces(g, q) for q in quads)
+                assert m.derived_graph() == g
+                accepted += 1
+            else:
+                assert m.vertices == tuple(sorted(m.vertices))
+                assert induces(g, m.vertices) == m.kind
+                refused += 1
+    assert (accepted, refused) == (4607, 29261)
 
 
 def test_two_branch_schedule_counterexample():
