@@ -44,6 +44,7 @@ limit raises RecursionError.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -364,6 +365,18 @@ def decompose(g: Graph, stuck):
     a ``SpiderPartition``, and the split goes on with its head, or any
     other value, which is returned as the refusal.
 
+    Every node's vertex set is a module (Corneil, Perl & Stewart 1985):
+    its vertices have the same number ``out`` of neighbours outside it.
+    So each piece carries ``out`` (0 for the whole graph, unchanged for a
+    union part, plus the other parts' size for a join part, plus the body
+    for a spider's head) and reads its inner degrees off the graph's.  A
+    piece with an isolated vertex is a union, one with a universal vertex
+    a join; those vertices are single parts, and the rest is one more
+    part when one of its vertices sees all of it (union) or none of it
+    (join), so threshold graphs split with no search.  Other pieces are
+    split by ``Graph.components`` or ``Graph.co_components``.  Either way
+    the parts are ordered by smallest vertex, as those return them.
+
     The split runs top down on an explicit stack, depth first in part
     order, so the first stuck vertex set does not depend on the depth.
     It records each node as a vertex (a leaf), (tag, part count) or a
@@ -371,26 +384,42 @@ def decompose(g: Graph, stuck):
     every subtree before its parent."""
     if g.n == 0:
         raise ValueError("empty graph has no decomposition tree")
+    degree = list(map(g.degree, range(g.n)))
     records: list = []
-    todo: list[list[int]] = [list(range(g.n))]
+    todo: list[tuple[list[int], int]] = [(list(range(g.n)), 0)]
     while todo:
-        vs = todo.pop()
-        if len(vs) == 1:
+        vs, out = todo.pop()
+        size = len(vs)
+        if size == 1:
             records.append(vs[0])
             continue
-        tag, parts = "U", g.components(vs)
-        if len(parts) == 1:
-            tag, parts = "J", g.co_components(vs)
+        ds = list(map(degree.__getitem__, vs))
+        lo, hi = min(ds) - out, max(ds) - out
+        if lo == 0 or hi == size - 1:
+            tag, peel = ("U", out) if lo == 0 else ("J", out + size - 1)
+            parts = [[v] for v, d in zip(vs, ds) if d == peel]
+            rest = [v for v, d in zip(vs, ds) if d != peel]
+            if rest and (hi == len(rest) - 1 if tag == "U" else lo == len(parts)):
+                # a vertex of the rest sees all of it (union) or none of it
+                # (join); lists compare by their differing first vertices
+                insort(parts, rest)
+            elif rest:
+                parts = g.components(vs) if tag == "U" else g.co_components(vs)
+        else:
+            tag, parts = "U", g.components(vs)
+            if len(parts) == 1:
+                tag, parts = "J", g.co_components(vs)
         if len(parts) > 1:
             records.append((tag, len(parts)))
-            todo += reversed(parts)
+            todo += ((p, out if tag == "U" else out + size - len(p))
+                     for p in reversed(parts))
             continue
         sp = stuck(g, vs)
         if not isinstance(sp, SpiderPartition):
             return sp
         records.append(sp)
         if sp.head:
-            todo.append(list(sp.head))
+            todo.append((list(sp.head), out + len(sp.body)))
     b = CotreeBuilder()
     done: list[int] = []  # finished subtree roots, the leftmost part on top
     for rec in reversed(records):

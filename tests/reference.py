@@ -1,5 +1,6 @@
 """Independent references that only the tests use: graph operations, the
-definition-level spider and P4-sparse predicates, the rooted-forest and
+definition-level spider and P4-sparse predicates, the split by graph
+search that recognition peels by degrees, the rooted-forest and
 clique readings of the models, and the witness normalizations behind the
 split-graph pendant identities.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from rainbowdom.cograph import SpiderPartition
+from rainbowdom.cograph import CotreeBuilder, SpiderPartition
 from rainbowdom.gadgets import GadgetInfo, SplitPartition
 from rainbowdom.graph import Graph
 from rainbowdom.interval import CliqueArrangement
@@ -128,6 +129,51 @@ def is_p4_sparse_bruteforce(g: Graph) -> bool:
         if count_induced_p4s(g, five) > 1:
             return False
     return True
+
+
+# --- decomposition ---------------------------------------------------------------
+
+
+def split_by_search(g: Graph, stuck):
+    """``cograph.decompose`` as it was before the degree peel: every
+    piece is split by ``Graph.components``, then ``Graph.co_components``,
+    then ``stuck``."""
+    if g.n == 0:
+        raise ValueError("empty graph has no decomposition tree")
+    records: list = []
+    todo: list[list[int]] = [list(range(g.n))]
+    while todo:
+        vs = todo.pop()
+        if len(vs) == 1:
+            records.append(vs[0])
+            continue
+        tag, parts = "U", g.components(vs)
+        if len(parts) == 1:
+            tag, parts = "J", g.co_components(vs)
+        if len(parts) > 1:
+            records.append((tag, len(parts)))
+            todo += reversed(parts)
+            continue
+        sp = stuck(g, vs)
+        if not isinstance(sp, SpiderPartition):
+            return sp
+        records.append(sp)
+        if sp.head:
+            todo.append(list(sp.head))
+    b = CotreeBuilder()
+    done: list[int] = []  # finished subtree roots, the leftmost part on top
+    for rec in reversed(records):
+        if isinstance(rec, int):
+            done.append(b.leaf(rec))
+        elif isinstance(rec, SpiderPartition):
+            done.append(b.spider_node(rec, done.pop() if rec.head else -1))
+        else:
+            tag, m = rec
+            node = done.pop()
+            for _ in range(m - 1):
+                node = b.node(tag, node, done.pop())
+            done.append(node)
+    return b.tree(done[0])
 
 
 # --- model readings --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Recognition on inputs whose decomposition tree is deeper than the
 interpreter recursion limit: every recognizer must return a tree, and the
-CLI must solve the graph file with exit 0."""
+CLI must solve the graph file with exit 0.  Threshold graphs split by
+degrees alone, with no component search."""
 
 import os
 import random
@@ -52,6 +53,28 @@ def test_recognizers_return_trees(deep_graph):
     assert cotree_depth(t) > sys.getrecursionlimit()
     assert isinstance(recognize_p4sparse(deep_graph), Cotree)
     assert isinstance(build_tree_model(deep_graph), RootedTreeModel)
+
+
+@pytest.mark.parametrize("graph", ["alternating", "complete", "edgeless"])
+def test_threshold_graphs_split_without_search(graph, deep_graph, monkeypatch):
+    g = {"alternating": deep_graph,
+         "complete": Graph(50, [(u, v) for v in range(50) for u in range(v)]),
+         "edgeless": Graph(50)}[graph]
+    calls = []
+
+    def counted(name):
+        search = getattr(Graph, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return search(self, *args)
+        return call
+
+    for name in ("components", "co_components"):
+        monkeypatch.setattr(Graph, name, counted(name))
+    assert isinstance(recognize_cograph(g), Cotree)
+    assert isinstance(recognize_p4sparse(g), Cotree)
+    assert calls == []
 
 
 def test_cograph_and_tp_rainbow_agree(deep_graph):

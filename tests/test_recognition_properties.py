@@ -1,7 +1,7 @@
 """Property tests for the subset splits and the three recognizers: splits
 agree with induced subgraphs, members of each class are recognized back to
-the same graph under any labelling, and every refusal is a genuine
-witness."""
+the same graph under any labelling, the degree peel splits exactly as the
+graph search did, and every refusal is a genuine witness."""
 
 import random
 from itertools import combinations
@@ -11,20 +11,21 @@ from hypothesis import given, settings, strategies as st
 from rainbowdom.cograph import (
     CographRefusal,
     Cotree,
+    _p4_refusal,
     cotree_to_graph,
     parse_cotree,
     random_cotree,
     recognize_cograph,
 )
 from rainbowdom.graph import Graph
-from rainbowdom.p4sparse import P4SparseRefusal, recognize_p4sparse
+from rainbowdom.p4sparse import P4SparseRefusal, _spider_or_refusal, recognize_p4sparse
 from rainbowdom.trivially_perfect import (
     RootedTreeModel,
     TPRefusal,
     build_tree_model,
 )
 
-from reference import complement, induced
+from reference import complement, induced, split_by_search
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -135,6 +136,49 @@ def test_tp_forest_recognized_back(model, data):
     g = relabel(model.derived_graph(), data.draw(st.permutations(range(model.n))))
     got = build_tree_model(g)
     assert isinstance(got, RootedTreeModel) and got.derived_graph() == g
+
+
+# --- the degree peel splits as the search did ------------------------------------
+
+
+def shape(t):
+    """A tree's arrays, or the refusal itself."""
+    if isinstance(t, Cotree):
+        return t.kind, t.left, t.right, t.leaf_vertex, t.spider, t.seq
+    return t
+
+
+def assert_split_as_searched(g: Graph):
+    assert shape(recognize_cograph(g)) == shape(split_by_search(g, _p4_refusal))
+    assert shape(recognize_p4sparse(g)) == shape(split_by_search(g, _spider_or_refusal))
+
+
+def test_peel_matches_search_on_every_graph_up_to_6():
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            assert_split_as_searched(
+                Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+
+
+@st.composite
+def threshold_graphs(draw, max_runs=8, max_run=12):
+    """Vertices added in runs, each run isolated or dominating, under a
+    random labelling."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, max_run)),
+                         min_size=1, max_size=max_runs))
+    dominating = [d for d, length in runs for _ in range(length)]
+    n = len(dominating)
+    g = Graph(n, [(u, v) for v in range(n) if dominating[v] for u in range(v)])
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@SETTINGS
+@given(threshold_graphs())
+def test_threshold_graph_recognized_back_as_searched(g):
+    for t in (recognize_cograph(g), recognize_p4sparse(g)):
+        assert isinstance(t, Cotree) and cotree_to_graph(t) == g
+    assert_split_as_searched(g)
 
 
 # --- refusals are genuine ----------------------------------------------------------
