@@ -6,10 +6,7 @@ Instance generators enumerate each solver's true input space directly
 filtering arbitrary graphs.  The rooted forests are the exception: they
 are read off the enumerated cographs by the trivially perfect recognizer
 ``solve`` runs, which accepts exactly the trivially perfect ones, so one
-shape enumerator serves all three tree classes.  Interval graphs are
-enumerated by extension closure -- every such graph minus a vertex is again
-one -- with isomorphism-class deduplication and a search for a vertex
-order whose last-neighbour intervals give the model.
+shape enumerator serves all three tree classes.
 
 Every class solver is reached through the (class, problem) table of
 ``rainbowdom.registry``, so the checks certify the entries ``solve`` runs.
@@ -37,7 +34,7 @@ from .oracle import (
 from .cograph import CotreeBuilder, SpiderPartition, cotree_to_graph
 from .trivially_perfect import RootedTreeModel, gamma_wkL
 from .interval import IntervalModel
-from .permutation import diagram_to_graph
+from .permutation import Permutation, diagram_to_graph
 from .bipartite import BipartiteInstance, complete_bipartite_graph
 from .gadgets import split_partition, verify_gadget_identities
 from .generators import generate
@@ -226,83 +223,35 @@ def enumerate_p4sparse_trees(max_n: int):
 
 
 def enumerate_rooted_forests(max_n: int):
-    """All rooted forests per size: the models that the solve recognizer
-    of trivially perfect graphs gives the cographs it accepts (every
-    trivially perfect graph is a cograph)."""
+    """All rooted forests per size, as (RootedTreeModel, Graph) pairs: the
+    models that the solve recognizer of trivially perfect graphs gives the
+    cographs it accepts (every trivially perfect graph is a cograph), each
+    with the cograph it accepted."""
     recognize = REGISTRY["trivially-perfect"].recognize
-    models = (recognize(g, None) for _tree, g in enumerate_cographs(max_n))
-    return [m for m in models if isinstance(m, RootedTreeModel)]
+    pairs = ((recognize(g, None), g) for _tree, g in enumerate_cographs(max_n))
+    return [(m, g) for m, g in pairs if isinstance(m, RootedTreeModel)]
 
 
 # --- interval graph enumeration ------------------------------------------------
 
 
-def _interval_model(g: Graph) -> IntervalModel | None:
-    """An interval model of g, or None when g is not an interval graph.
-
-    g is interval exactly when its vertices have an order in which
-    u < v < w and uw an edge imply uv an edge (Olariu 1991); vertex v then
-    gets the interval from its position to its last neighbour's.  The
-    order is built left to right on neighbour bitmasks: w may come next
-    exactly when it sees every placed vertex that still has an unplaced
-    neighbour.  That rule reads nothing but the placed set, so a placed
-    set that failed once is never searched again: at most 2^n sets, meant
-    for small n."""
-    n = g.n
-    nbr = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
-    full = (1 << n) - 1
-    order: list[int] = []
-    failed: set[int] = set()
-
-    def extend(placed: int) -> bool:
-        if placed == full:
-            return True
-        if placed in failed:
-            return False
-        unplaced = full & ~placed
-        allowed = unplaced
-        for u in order:
-            if nbr[u] & unplaced:
-                allowed &= nbr[u]
-        for w in range(n):
-            if allowed >> w & 1:
-                order.append(w)
-                if extend(placed | 1 << w):
-                    return True
-                order.pop()
-        failed.add(placed)
-        return False
-
-    if not extend(0):
-        return None
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return IntervalModel(tuple(
-        (pos[v], max(pos[u] for u in g.neighbors(v) | {v})) for v in range(n)
-    ))
-
-
 def enumerate_interval_models(max_n: int):
     """One interval model per isomorphism class of interval graphs, for
-    every size up to max_n, by single-vertex extension closure."""
-    levels: list[list[tuple[Graph, IntervalModel]]] = []
-    k1 = Graph(1)
-    levels.append([(k1, IntervalModel(((0, 0),)))])
-    for n in range(2, max_n + 1):
+    every size up to max_n, as (Graph, IntervalModel) pairs.
+
+    Every interval graph has a vertex order in which u < v < w and uw an
+    edge imply uv an edge (Olariu 1991), so v_i, i < j, sees v_j exactly
+    when j <= r_i, the position of v_i's last neighbour.  The models
+    [i, r_i] with i <= r_i <= n - 1 thus give every class; the first of
+    each class in product order is kept."""
+    out = []
+    for n in range(1, max_n + 1):
         coll = _IsoCollection()
-        for g_prev, _model in levels[-1]:
-            base_edges = list(g_prev.edges)
-            for mask in range(1 << g_prev.n):
-                edges = base_edges + [
-                    (v, g_prev.n) for v in range(g_prev.n) if mask >> v & 1
-                ]
-                g = Graph(n, edges)
-                model = _interval_model(g)
-                if model is not None:
-                    coll.add(g, model)
-        levels.append(coll.items)
-    return [pair for level in levels for pair in level]
+        for ends in itertools.product(*(range(i, n) for i in range(n))):
+            g = Graph(n, [(i, j) for i, r in enumerate(ends) for j in range(i + 1, r + 1)])
+            coll.add(g, IntervalModel(tuple(enumerate(ends))))
+        out += coll.items
+    return out
 
 
 # --- plan / report machinery ---------------------------------------------------
@@ -643,7 +592,7 @@ def check_p4sparse_cert(rng, max_n, ks, feet, heads):
 def check_tp_cert(rng, max_n, ks, assignments, jk_max):
     """Weak {k}-L on every rooted forest with random assignments, and the
     level rule for (j,k)."""
-    models = [(m, m.derived_graph()) for m in enumerate_rooted_forests(max_n)]
+    models = enumerate_rooted_forests(max_n)
     count = 0
     for model, g in models:
         n = model.n
@@ -679,17 +628,19 @@ def check_tp_cert(rng, max_n, ks, assignments, jk_max):
 @_declare(cost=125, max_n=(8, 1), ks=([1, 2, 3], 1))
 def check_tp_rainbow_equality(rng, max_n, ks):
     """The rainbow number equals the weak number on every forest model: the
-    table's rainbow entry against the rainbow oracle, then its value
-    against the weak number from the forest DP at uniform floors."""
+    table's rainbow entry against the rainbow oracle, the table's weak
+    entry against the weak number from the forest DP at uniform floors,
+    then the two values against each other."""
     count = 0
-    for model in enumerate_rooted_forests(max_n):
-        g = model.derived_graph()
+    for model, g in enumerate_rooted_forests(max_n):
         for k in ks:
+            weak_value = gamma_wkL(model, KAssignment.uniform(k, model.n))[0]
             value, _w, fault = _compare("trivially-perfect", "rainbow", g, model, k)
             if not fault:
-                weak_value = gamma_wkL(model, KAssignment.uniform(k, model.n))[0]
-                if weak_value != value:
-                    fault = f"rainbow={value} weak={weak_value}"
+                _v, _w, fault = _compare("trivially-perfect", "weak", g, model, k,
+                                         expect=weak_value)
+            if not fault and weak_value != value:
+                fault = f"rainbow={value} weak={weak_value}"
             if fault:
                 return False, f"mismatch k={k}", f"parents={model.parents} {fault}"
             count += 1
@@ -739,7 +690,8 @@ def check_permutation_cert(rng, max_n):
 @_declare(cost=179, max_n=(6, 1), randoms=(100, 0), rand_n=(9, 1))
 def check_permutation_weak_gap(rng, max_n, randoms, rand_n):
     """Experiment, not an assumption: compare the weak {2} and 2-rainbow
-    numbers on permutation graphs and report whether they ever differ."""
+    numbers on permutation graphs and report whether they ever differ,
+    after checking both witnesses."""
     entry = REGISTRY["permutation"]
     exhaustive = (
         pi for n in range(1, max_n + 1) for pi in itertools.permutations(range(n))
@@ -748,8 +700,12 @@ def check_permutation_weak_gap(rng, max_n, randoms, rand_n):
     gaps = []
     checked = 0
     for pi in itertools.chain(exhaustive, sampled):
-        wv, _ = entry.solvers["weak"](pi, 2, None, None)
-        rv, _ = entry.solvers["rainbow"](pi, 2, None, None)
+        wv, w = entry.solvers["weak"](pi, 2, None, None)
+        rv, f = entry.solvers["rainbow"](pi, 2, None, None)
+        for problem, value, witness in (("weak", wv, w), ("rainbow", rv, f)):
+            fault = check_witness(problem, Permutation(pi), value, witness)
+            if fault:
+                return False, f"invalid {problem} witness", f"pi={pi} {fault}"
         if wv > rv:
             return False, "weak exceeded rainbow", f"pi={pi}"
         if wv != rv:

@@ -275,8 +275,8 @@ def small_models(max_n: int):
     for t, g in enumerate_p4sparse_trees(max_n):
         if "S" in t.kind:
             yield "p4sparse", t, g
-    for m in enumerate_rooted_forests(max_n):
-        yield "trivially-perfect", m, m.derived_graph()
+    for m, g in enumerate_rooted_forests(max_n):
+        yield "trivially-perfect", m, g
     for g, m in enumerate_interval_models(max_n):
         yield "interval", m, g
     for n in range(max_n + 1):

@@ -10,10 +10,10 @@ import pytest
 import rainbowdom
 from rainbowdom.graph import Graph
 from rainbowdom.harness import (
+    CHECKS,
     DECLARATIONS,
     CertificationPlan,
     CertificationReport,
-    _interval_model,
     check_cograph_cert,
     default_plan,
     enumerate_cographs,
@@ -42,8 +42,9 @@ def test_cograph_counts_match_published_sequence():
 
 def test_forest_counts_match_published_sequence():
     by_n = {}
-    for m in enumerate_rooted_forests(8):
+    for m, g in enumerate_rooted_forests(8):
         by_n[m.n] = by_n.get(m.n, 0) + 1
+        assert m.derived_graph() == g, m.parents
     assert [by_n[i] for i in range(1, 9)] == [1, 2, 4, 9, 20, 48, 115, 286]
 
 
@@ -85,32 +86,20 @@ def _is_interval_by_lekkerkerker_boland(g):
     return True
 
 
-def _assert_interval_model_matches_reference(g):
-    model = _interval_model(g)
-    assert (model is not None) == _is_interval_by_lekkerkerker_boland(g), g.edges
-    if model is not None:
-        assert interval_graph(model) == g
-
-
-def test_interval_model_on_every_labelled_graph_up_to_5():
-    for n in range(6):
+def test_interval_enumeration_matches_reference():
+    """Every labelled interval graph on at most 5 vertices is isomorphic to
+    exactly one enumerated graph, and every enumerated graph on at most 6
+    vertices is an interval graph."""
+    by_n = {}
+    for g, _m in enumerate_interval_models(6):
+        assert _is_interval_by_lekkerkerker_boland(g), g.edges
+        by_n.setdefault(g.n, []).append(g)
+    for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-            _assert_interval_model_matches_reference(Graph(n, edges))
-
-
-def test_interval_model_on_random_graphs():
-    rng = random.Random(16)
-    found = 0
-    for _ in range(2000):
-        n = rng.randint(6, 9)
-        p = rng.random()
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-        _assert_interval_model_matches_reference(g)
-        found += _interval_model(g) is not None
-    # both answers are exercised
-    assert 200 < found < 1800
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if _is_interval_by_lekkerkerker_boland(g):
+                assert sum(graphs_isomorphic(g, h) for h in by_n[n]) == 1, g.edges
 
 
 def test_p4sparse_trees_cover_p4():
@@ -186,20 +175,54 @@ def test_mutation_is_caught(monkeypatch):
         assert "cotree=" in result.counterexample
 
 
+@pytest.mark.parametrize("cls, problem, check, params", [
+    ("trivially-perfect", "weak", "tp_rainbow_equality", {"max_n": 4}),
+    ("permutation", "weak", "permutation_weak_gap", {"max_n": 4, "randoms": 0}),
+    ("permutation", "rainbow", "permutation_weak_gap", {"max_n": 4, "randoms": 0}),
+])
+def test_dropped_witness_is_caught(monkeypatch, cls, problem, check, params):
+    solvers = REGISTRY[cls].solvers
+    monkeypatch.setitem(solvers, problem, _witness_dropped(solvers[problem]))
+    result = CHECKS[check](params, random.Random(0))
+    assert not result.passed and "no witness" in result.counterexample
+
+
+def _bench_plan(seed):
+    with open(os.path.join(ROOT, "perfbench", "certify_plan.json")) as fh:
+        return CertificationPlan(seed, CertificationPlan.from_json(fh.read()).checks)
+
+
 def test_quick_plan_report_is_pinned():
     """The quick plan's seed-3 report and the benchmark plan's seed-101
     report, byte for byte as `verify --out` wrote them before the checks
     went through the class table and before the trivially perfect rainbow
     entry built a witness, respectively."""
-    with open(os.path.join(ROOT, "perfbench", "certify_plan.json")) as fh:
-        bench_plan = CertificationPlan.from_json(fh.read())
     for plan, name in (
         (default_plan("quick", 3), "verify_quick_seed3.json"),
-        (CertificationPlan(101, bench_plan.checks), "verify_bench_seed101.json"),
+        (_bench_plan(101), "verify_bench_seed101.json"),
     ):
         with open(os.path.join(DATA, name)) as fh:
             pinned = fh.read()
         assert run_plan(plan).to_json() + "\n" == pinned, name
+
+
+def test_verify_certifies_what_solve_runs(monkeypatch):
+    """The benchmark plan calls every solver of the table but the oracle's."""
+    calls = {}
+
+    def counted(key, solver):
+        def solve(*args):
+            calls[key] += 1
+            return solver(*args)
+        return solve
+
+    for cls, entry in REGISTRY.items():
+        if cls != "oracle":
+            for problem, solver in list(entry.solvers.items()):
+                calls[cls, problem] = 0
+                monkeypatch.setitem(entry.solvers, problem, counted((cls, problem), solver))
+    assert run_plan(_bench_plan(101)).all_passed
+    assert [key for key, count in calls.items() if not count] == []
 
 
 SMALL_PLAN = CertificationPlan(3, (

@@ -392,8 +392,7 @@ def test_gamma_wk_closed_form_on_forests():
 
 
 def test_closed_forms_match_oracle_on_every_small_forest():
-    for m in enumerate_rooted_forests(7):
-        g = m.derived_graph()
+    for m, g in enumerate_rooted_forests(7):
         for k in (1, 2, 3):
             wv, w = gamma_wk_tp(m, k)
             rv, f = gamma_rk_tp(m, k)
