@@ -1,12 +1,12 @@
 """Command-line front end: solve, verify, generate, convert, bench.
 
 Values go to standard output as a single integer line; diagnostics go to
-standard error.  Exit codes: 0 success, 2 bad input or incompatible
-problem/class, 3 oracle cap exceeded.  Every witness is validated, and its
-cost compared with the printed value, before either is written; a witness
-solved from a model file is validated on the model, so ``solve --model``
-builds no graph.  The (class, problem) table lives in
-``rainbowdom.registry``.
+standard error.  Exit codes: 0 success, 1 some verify check failed, 2 bad
+input or incompatible problem/class, 3 oracle cap or node budget exceeded.
+Every witness is validated, and its cost compared with the printed value,
+before either is written; a witness solved from a model file is validated
+on the model, so ``solve --model`` builds no graph.  The (class, problem)
+table lives in ``rainbowdom.registry``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Graph
-from .semantics import KAssignment, WeightFunction
+from .semantics import KAssignment
 from . import oracle as _oracle
 from .cograph import (
     Cotree,
@@ -52,7 +52,6 @@ from .permutation import (
     weak2_permutation,
 )
 from .bipartite import (
-    BipartiteInstance,
     instance_from_assignment,
     parse_bipartite_instance,
     weakL_complete_bipartite,
@@ -74,7 +73,9 @@ class GraphClass:
     ``solvers`` maps each supported problem to ``solver(model, k, j, L)``,
     which returns (value, witness); the oracle's model is the graph.
     ``load`` parses a model file (``kind`` names the file for convert),
-    ``recognize(g, L)`` returns a model of g or the refusal message, and
+    ``recognize(g, L)`` returns a model of g or the refusal message; the
+    model names g's own vertices (a complete bipartite instance keeps g's
+    sides and L's demands), so its witnesses need no relabelling.
     ``to_graph`` builds the graph a model file encodes, for convert.
     Every loaded model has ``n`` and ``open_sums``, which is all
     ``semantics.check_witness`` reads, so solve checks a model's witness
@@ -117,35 +118,19 @@ def _recognize_tp(g: Graph, _L):
     return f"not in class: induced {m.kind} on vertices {m.vertices}"
 
 
-@dataclass(frozen=True)
-class _Labelled:
-    """A complete bipartite instance read off a graph, side 1 first;
-    instance vertex i is the graph's vertex ``vertices[i]``."""
-
-    instance: BipartiteInstance
-    vertices: tuple[int, ...]
-
-
 def _recognize_complete_bipartite(g: Graph, L: KAssignment):
-    """Instance for the linear solver when g is complete bipartite and the
+    """Instance on g's own vertices when g is complete bipartite and the
     floors are all zero; side 1 is the non-neighbours of vertex 0."""
     refusal = "not complete bipartite with zero floors"
     if g.n < 2 or any(a for a, _b in L.pairs):
         return refusal
-    side1 = sorted(set(range(g.n)) - g.neighbors(0))
-    side2 = sorted(g.neighbors(0))
-    if not side2:
-        return refusal
-    set1, set2 = frozenset(side1), frozenset(side2)
-    if any(g.neighbors(u) != set2 for u in side1) or any(
-        g.neighbors(v) != set1 for v in side2
+    set2 = g.neighbors(0)
+    set1 = frozenset(range(g.n)) - set2
+    if not set2 or any(g.neighbors(u) != set2 for u in set1) or any(
+        g.neighbors(v) != set1 for v in set2
     ):
         return refusal
-    vertices = tuple(side1 + side2)
-    inst = instance_from_assignment(
-        len(side1), len(side2), KAssignment(L.k, tuple(L.pairs[v] for v in vertices)),
-    )
-    return _Labelled(inst, vertices)
+    return instance_from_assignment(sorted(set1), sorted(set2), L)
 
 
 def _oracle_solver(problem: str) -> Callable:
@@ -158,19 +143,6 @@ def _oracle_solver(problem: str) -> Callable:
             )
         return res.value, res.witness
     return solve
-
-
-def _solve_bipartite(m, k, j, L):
-    """An instance file's witness is in its own order; a recognized
-    graph's is mapped back to the graph's vertices."""
-    if not isinstance(m, _Labelled):
-        value, _xy, w = weakL_complete_bipartite(m)
-        return value, w
-    value, _xy, w = weakL_complete_bipartite(m.instance)
-    weights = [0] * len(m.vertices)
-    for v, x in zip(m.vertices, w.weights):
-        weights[v] = x
-    return value, WeightFunction(k, tuple(weights))
 
 
 def _random_intervals(n: int, rng) -> IntervalModel:
@@ -233,7 +205,7 @@ REGISTRY: dict[str, GraphClass] = {
         timed=lambda pi, k: rainbow2_permutation(pi),
     ),
     "complete-bipartite": GraphClass(
-        {"weakL": _solve_bipartite},
+        {"weakL": lambda inst, k, j, L: weakL_complete_bipartite(inst)},
         load=parse_bipartite_instance, recognize=_recognize_complete_bipartite,
     ),
     "oracle": GraphClass(

@@ -326,9 +326,12 @@ def random_models(draw, max_n=60):
         return m, interval_graph(m)
     if kind == "permutation":
         return Permutation(perm), diagram_to_graph(perm)
-    n1 = rng.randint(1, max(1, n - 1))
-    return (BipartiteInstance.from_labels(1, [0] * n1, [0] * (n + 1 - n1)),
-            complete_bipartite_graph(n1, n + 1 - n1))
+    ids = list(range(n + 1))
+    rng.shuffle(ids)
+    n1 = rng.randint(1, n)
+    side1, side2 = tuple(ids[:n1]), tuple(ids[n1:])
+    return (BipartiteInstance(1, side1, side2, (0,) * (n + 1)),
+            Graph(n + 1, [(u, v) for u in side1 for v in side2]))
 
 
 @SETTINGS
