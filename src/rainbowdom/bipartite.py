@@ -22,7 +22,6 @@ from .semantics import KAssignment, WeightFunction
 __all__ = [
     "BipartiteInstance",
     "parse_bipartite_instance",
-    "render_bipartite_instance",
     "complete_bipartite_graph",
     "instance_from_assignment",
     "weakL_complete_bipartite",
@@ -57,14 +56,6 @@ class BipartiteInstance:
         return BipartiteInstance(k, tuple(range(n1)), tuple(range(n1, n)), b1 + b2)
 
     @property
-    def n1(self) -> int:
-        return len(self.side1)
-
-    @property
-    def n2(self) -> int:
-        return len(self.side2)
-
-    @property
     def n(self) -> int:
         return len(self.b)
 
@@ -94,16 +85,6 @@ def parse_bipartite_instance(text: str) -> BipartiteInstance:
     if len(b1) != n1 or len(b2) != n2:
         raise ValueError("demand counts disagree with the header")
     return BipartiteInstance.from_labels(k, b1, b2)
-
-
-def render_bipartite_instance(inst: BipartiteInstance) -> str:
-    return (
-        f"{inst.n1} {inst.n2} {inst.k}\n"
-        + " ".join(str(inst.b[v]) for v in inst.side1)
-        + "\n"
-        + " ".join(str(inst.b[v]) for v in inst.side2)
-        + "\n"
-    )
 
 
 def complete_bipartite_graph(n1: int, n2: int) -> Graph:

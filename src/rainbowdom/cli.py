@@ -3,10 +3,15 @@
 Values go to standard output as a single integer line; diagnostics go to
 standard error.  Exit codes: 0 success, 1 some verify check failed, 2 bad
 input or incompatible problem/class, 3 oracle cap or node budget exceeded.
-Every witness is validated, and its cost compared with the printed value,
-before either is written; a witness solved from a model file is validated
-on the model, so ``solve --model`` builds no graph.  The (class, problem)
-table lives in ``rainbowdom.registry``.
+
+``solve`` runs four steps, each returning a value or raising ``CliError``:
+read the graph or the model (with any floors it carries), read the weakL
+floors, choose the solver (the model's class, a recognizer, the auto chain
+or the oracle within its cap), then solve and check the witness.  A
+witness is validated, and its cost compared with the printed value,
+before either is written; a model file's witness is validated on the
+model, so ``solve --model`` builds no graph.  The (class, problem) table
+lives in ``rainbowdom.registry``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import random
 import sys
 import time
 
-from .graph import Graph, GraphParseError, parse_graph, render_graph
+from .graph import GraphParseError, parse_graph, render_graph
 from .semantics import RainbowFunction, WeightFunction, check_witness
 from . import oracle as _oracle
 from .oracle import (
@@ -30,7 +35,7 @@ from .cograph import Cotree
 from .trivially_perfect import parse_assignment
 from .gadgets import render_split_partition
 from .generators import FAMILIES, generate
-from .registry import AUTO, PROBLEMS, REGISTRY
+from .registry import PROBLEMS, REGISTRY, recognize_auto
 
 
 class CliError(Exception):
@@ -94,101 +99,17 @@ def _witness_json(problem: str, k: int, value: int, witness) -> str:
 
 
 def cmd_solve(args) -> int:
-    problem = args.problem
-    cls = args.klass
+    problem, cls, k, j = args.problem, args.klass, args.k, args.j
     entry = REGISTRY.get(cls)
     if entry is not None and problem not in entry.solvers:
         _fail(f"problem {problem} cannot be solved with class {cls}")
-    k = args.k
     _check_k(entry, cls, k)
-    j = args.j
-    if problem == "jkdom":
-        if j is None or not (1 <= j <= k):
-            _fail("--j must satisfy 1 <= j <= k")
-
-    L = None
-    model = None
-    g = None  # the input graph, when the input is one
-
-    if cls == "complete-bipartite":
-        if not args.model:
-            _fail("class complete-bipartite needs --model (instance file)")
-        model = _read_model(cls, args.model)
-        if model.k != k:
-            _fail(f"instance file has k={model.k}, flag says k={k}")
-        L = model.assignment()
-    elif entry is not None and entry.load is not None:
-        if args.model:
-            model = _read_model(cls, args.model)
-            if model.n == 0:
-                g = Graph(0)
-        elif args.graph:
-            g = _parse_graph_file(args.graph)
-            if g.n:
-                if entry.recognize is None:
-                    _fail(f"class {cls} cannot be recognized from a bare graph; "
-                          f"supply --model")
-                model = entry.recognize(g, L)
-                if isinstance(model, str):
-                    _fail(model)
-        else:
-            _fail(f"class {cls} needs --model or --graph")
-    else:  # oracle or auto
-        if not args.graph:
-            _fail(f"class {cls} needs --graph")
-        g = _parse_graph_file(args.graph)
-    # the witness check reads only n and open_sums, which every model has,
-    # so a model input is checked on the model and no graph is built
-    instance = model if g is None else g
-
-    if problem == "weakL" and cls != "complete-bipartite":
-        if not args.assignment:
-            _fail("problem weakL needs --assignment")
-        try:
-            L = parse_assignment(_read(args.assignment), k)
-        except ValueError as exc:
-            _fail(f"cannot parse assignment: {exc}")
-        if len(L.pairs) != instance.n:
-            _fail("assignment size disagrees with the instance")
-
-    # no decomposition tree models the empty graph; the oracle answers it
-    chosen = "oracle" if instance.n == 0 else cls
-    auto = chosen == "auto"
-    if auto:
-        chosen = "oracle"
-        for name in AUTO[problem]:
-            got = REGISTRY[name].recognize(g, L)
-            if not isinstance(got, str):
-                chosen, model = name, got
-                break
-        if chosen == "p4sparse" and "S" not in model.kind:
-            chosen = "cograph"
-    if chosen == "oracle":
-        # one size check however the oracle was chosen: the weight searches
-        # have no cap of their own
-        cap = _oracle_cap()
-        size = g.n * k if problem == "rainbow" else g.n
-        if size > cap:
-            why = "no structured class recognized and the" if auto else "the"
-            _fail(
-                f"{why} instance exceeds the oracle cap ({size} > {cap}); "
-                f"raise RAINBOWDOM_ORACLE_CAP or supply --class with a model",
-                code=3,
-            )
-        model = g
-    if auto:
-        print(f"auto: solving as {chosen}", file=sys.stderr)
-
-    try:
-        value, witness = REGISTRY[chosen].solvers[problem](model, k, j, L)
-    except (OracleCapExceeded, OracleBudgetExceeded) as exc:
-        _fail(str(exc), code=3)
-    except InfeasibleInstance as exc:
-        _fail(f"infeasible: {exc}")
-
-    fault = check_witness(problem, instance, value, witness, j, L)
-    if fault is not None:
-        raise AssertionError(f"internal error: {fault}")
+    if problem == "jkdom" and (j is None or not 1 <= j <= k):
+        _fail("--j must satisfy 1 <= j <= k")
+    instance, carried = _read_input(args, entry)
+    L = _read_floors(args, instance, carried)
+    chosen, model = _choose(args, entry, instance, L)
+    value, witness = _solve(args, chosen, model, instance, L)
     if args.witness:
         _write(args.witness, _witness_json(problem, k, value, witness) + "\n")
         print(f"witness written to {args.witness}", file=sys.stderr)
@@ -196,11 +117,88 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _parse_graph_file(path: str) -> Graph:
+def _read_input(args, entry):
+    """Step 1: the graph from --graph, or the model from --model and the
+    floors it carries (None when it carries none)."""
+    loads = entry is not None and entry.load is not None
+    if args.graph and args.model:
+        _fail("give --graph or --model, not both")
+    if args.model and loads:
+        model = _read_model(args.klass, args.model)
+        if not hasattr(model, "assignment"):
+            return model, None
+        if model.k != args.k:
+            _fail(f"instance file has k={model.k}, flag says k={args.k}")
+        return model, model.assignment()
+    if not args.graph:
+        _fail(f"class {args.klass} needs " + ("--model or --graph" if loads else "--graph"))
     try:
-        return parse_graph(_read(path))
+        return parse_graph(_read(args.graph)), None
     except GraphParseError as exc:
         _fail(f"cannot parse graph: {exc}")
+
+
+def _read_floors(args, instance, carried):
+    """Step 2: the weakL floors, from the model or from --assignment."""
+    if carried is not None or args.problem != "weakL":
+        if args.assignment:
+            _fail("the model file carries the floors; drop --assignment" if carried
+                  else f"problem {args.problem} reads no --assignment")
+        return carried
+    if not args.assignment:
+        _fail("problem weakL needs --assignment")
+    try:
+        L = parse_assignment(_read(args.assignment), args.k)
+    except ValueError as exc:
+        _fail(f"cannot parse assignment: {exc}")
+    if len(L.pairs) != instance.n:
+        _fail("assignment size disagrees with the instance")
+    return L
+
+
+def _choose(args, entry, instance, L):
+    """Step 3: the class to solve as and its model: the model file, the
+    named class's recognizer, the auto chain, or the oracle within its cap."""
+    # no decomposition tree models the empty instance; the oracle answers it
+    chosen = "oracle" if instance.n == 0 else args.klass
+    auto = chosen == "auto"
+    if auto:
+        chosen, model = recognize_auto(args.problem, instance, L)
+    elif args.model or chosen == "oracle":
+        model = instance
+    elif entry.recognize is None:
+        _fail(f"class {chosen} cannot be recognized from a bare graph; supply --model")
+    elif isinstance(model := entry.recognize(instance, L), str):
+        _fail(model)
+    if chosen == "oracle":
+        # one size check however the oracle was chosen: the weight searches
+        # have no cap of their own
+        cap = _oracle_cap()
+        size = instance.n * args.k if args.problem == "rainbow" else instance.n
+        if size > cap:
+            why = "no structured class recognized and the" if auto else "the"
+            _fail(
+                f"{why} instance exceeds the oracle cap ({size} > {cap}); "
+                f"raise RAINBOWDOM_ORACLE_CAP or supply --class with a model",
+                code=3,
+            )
+    if auto:
+        print(f"auto: solving as {chosen}", file=sys.stderr)
+    return chosen, model
+
+
+def _solve(args, chosen, model, instance, L):
+    """Step 4: the value and a witness checked on the input, model or graph."""
+    try:
+        value, witness = REGISTRY[chosen].solvers[args.problem](model, args.k, args.j, L)
+    except (OracleCapExceeded, OracleBudgetExceeded) as exc:
+        _fail(str(exc), code=3)
+    except InfeasibleInstance as exc:
+        _fail(f"infeasible: {exc}")
+    fault = check_witness(args.problem, instance, value, witness, args.j, L)
+    if fault is not None:
+        raise AssertionError(f"internal error: {fault}")
+    return value, witness
 
 
 def cmd_verify(args) -> int:

@@ -58,7 +58,7 @@ from .bipartite import (
 )
 from .generators import generate
 
-__all__ = ["PROBLEMS", "ORACLE_VARIANT", "GraphClass", "REGISTRY", "AUTO"]
+__all__ = ["PROBLEMS", "ORACLE_VARIANT", "GraphClass", "REGISTRY", "AUTO", "recognize_auto"]
 
 PROBLEMS = ("rainbow", "weak", "kdom", "jkdom", "weakL")
 
@@ -76,6 +76,9 @@ class GraphClass:
     ``recognize(g, L)`` returns a model of g or the refusal message; the
     model names g's own vertices (a complete bipartite instance keeps g's
     sides and L's demands), so its witnesses need no relabelling.
+    A model that carries its own weakL floors has ``k`` and
+    ``assignment()``, as a complete bipartite instance does; solve takes
+    the floors from it and refuses ``--assignment`` beside it.
     ``to_graph`` builds the graph a model file encodes, for convert.
     Every loaded model has ``n`` and ``open_sums``, which is all
     ``semantics.check_witness`` reads, so solve checks a model's witness
@@ -225,3 +228,15 @@ AUTO = {
     "jkdom": ("trivially-perfect",),
     "weakL": ("trivially-perfect", "complete-bipartite"),
 }
+
+
+
+def recognize_auto(problem: str, g: Graph, L: KAssignment | None):
+    """The class ``--class auto`` solves g as, and its model: the first of
+    AUTO[problem] that recognizes g, else ("oracle", g).  A P4-sparse
+    model without spider nodes is named a cograph."""
+    for name in AUTO[problem]:
+        model = REGISTRY[name].recognize(g, L)
+        if not isinstance(model, str):
+            return ("cograph" if name == "p4sparse" and "S" not in model.kind else name), model
+    return "oracle", g

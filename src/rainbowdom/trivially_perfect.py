@@ -43,7 +43,6 @@ __all__ = [
     "parse_tree_model",
     "render_tree_model",
     "parse_assignment",
-    "render_assignment",
     "build_tree_model",
     "gamma_wkL",
     "gamma_wk_tp",
@@ -150,10 +149,6 @@ def parse_assignment(text: str, k: int) -> KAssignment:
     """n lines ``v a b``."""
     a, b = _vertex_rows(text, 3, "assignment", "assignment must list each vertex")
     return KAssignment(k, tuple(zip(a, b)))
-
-
-def render_assignment(L: KAssignment) -> str:
-    return "\n".join(f"{v} {a} {b}" for v, (a, b) in enumerate(L.pairs)) + "\n"
 
 
 def build_tree_model(g: Graph):

@@ -1,7 +1,8 @@
 """Independent references that only the tests use: graph operations, the
 definition-level spider and P4-sparse predicates, the split by graph
 search that recognition peels by degrees, the rooted-forest and
-clique readings of the models, and the witness normalizations behind the
+clique readings of the models, the file renderings that only the
+round-trip tests write, and the witness normalizations behind the
 split-graph pendant identities.
 
 The library never calls these.  The tests hold the library's fast paths
@@ -16,13 +17,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
+from rainbowdom.bipartite import BipartiteInstance
 from rainbowdom.cograph import CotreeBuilder, SpiderPartition
 from rainbowdom.gadgets import GadgetInfo, SplitPartition
 from rainbowdom.graph import Graph
 from rainbowdom.interval import CliqueArrangement
 from rainbowdom.oracle import OracleResult
 from rainbowdom.p4sparse import count_induced_p4s
-from rainbowdom.semantics import RainbowFunction, WeightFunction
+from rainbowdom.semantics import KAssignment, RainbowFunction, WeightFunction
 from rainbowdom.trivially_perfect import RootedTreeModel
 
 
@@ -202,6 +204,25 @@ def dominating_set_of(res: OracleResult) -> set[int]:
     w = res.witness
     assert isinstance(w, WeightFunction)
     return {v for v, x in enumerate(w.weights) if x}
+
+
+# --- file renderings ------------------------------------------------------------
+
+
+def render_bipartite_instance(inst: BipartiteInstance) -> str:
+    """The three-line file ``parse_bipartite_instance`` reads."""
+    return (
+        f"{len(inst.side1)} {len(inst.side2)} {inst.k}\n"
+        + " ".join(str(inst.b[v]) for v in inst.side1)
+        + "\n"
+        + " ".join(str(inst.b[v]) for v in inst.side2)
+        + "\n"
+    )
+
+
+def render_assignment(L: KAssignment) -> str:
+    """The ``v a b`` lines ``parse_assignment`` reads."""
+    return "\n".join(f"{v} {a} {b}" for v, (a, b) in enumerate(L.pairs)) + "\n"
 
 
 # --- split graphs and the pendant identities -------------------------------------

@@ -11,9 +11,9 @@ from rainbowdom.bipartite import (
     complete_bipartite_graph,
     instance_from_assignment,
     parse_bipartite_instance,
-    render_bipartite_instance,
     weakL_complete_bipartite,
 )
+from reference import render_bipartite_instance
 
 
 def test_all_zero_demands():

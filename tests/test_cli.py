@@ -666,9 +666,12 @@ def _read_witness(path, problem):
 
 def test_class_table_matches_support_matrix(star_inputs, tmp_path):
     """Every supported pair solves the star and writes a witness that
-    check_witness accepts; every other pair is refused."""
+    check_witness accepts; every other pair is refused.  A class with a
+    recognizer solves the graph file to the same value and witness bytes
+    as its model file."""
     from rainbowdom.cli import CLASSES, PROBLEMS
     from rainbowdom.graph import parse_graph
+    from rainbowdom.registry import REGISTRY
     from rainbowdom.semantics import check_witness
     from rainbowdom.trivially_perfect import parse_assignment
 
@@ -685,6 +688,7 @@ def test_class_table_matches_support_matrix(star_inputs, tmp_path):
             argv = ["solve", "--problem", problem, "--k", "2", "--class", cls]
             if problem == "jkdom":
                 argv += ["--j", "1"]
+            head = list(argv)
             if cls in inputs:
                 argv += ["--model", str(star_inputs[inputs[cls]])]
             else:
@@ -702,6 +706,14 @@ def test_class_table_matches_support_matrix(star_inputs, tmp_path):
             assert check_witness(
                 problem, g, int(out), _read_witness(wpath, problem), 1, L
             ) is None, (problem, cls)
+            if cls not in REGISTRY or REGISTRY[cls].recognize is None:
+                continue
+            gpath = tmp_path / f"{problem}-{cls}-graph.json"
+            floors = ["--assignment", str(star_inputs["assign"])] if problem == "weakL" else []
+            code, gout, err = run_cli(*head, "--graph", str(star_inputs["graph"]), *floors,
+                                      "--witness", str(gpath))
+            assert (code, gout) == (0, out), (problem, cls, err)
+            assert gpath.read_bytes() == wpath.read_bytes(), (problem, cls)
 
 
 def test_model_inputs_build_no_graph(star_inputs, monkeypatch):
@@ -738,6 +750,28 @@ def test_model_inputs_build_no_graph(star_inputs, monkeypatch):
         monkeypatch.setitem(REGISTRY, cls, dataclasses.replace(entry, to_graph=refuse))
     monkeypatch.setattr(Graph, "__init__", refuse)
     assert [run_cli(*argv) for argv in runs] == before
+
+
+# each argv names an input that solve would not read; dropping it silently
+# would answer a question other than the one asked
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "weak", "--class", "auto", "--graph", "{graph}", "--model", "{cotree}"],
+     "give --graph or --model, not both"),
+    (["--problem", "weak", "--class", "cograph", "--graph", "{graph}", "--model", "{cotree}"],
+     "give --graph or --model, not both"),
+    (["--problem", "weakL", "--class", "complete-bipartite", "--model", "{bip}",
+      "--assignment", "{graph}.missing"],
+     "the model file carries the floors; drop --assignment"),
+    (["--problem", "weak", "--class", "auto", "--graph", "{graph}", "--assignment", "{assign}"],
+     "problem weak reads no --assignment"),
+    (["--problem", "rainbow", "--class", "trivially-perfect", "--model", "{tree}",
+      "--assignment", "{assign}"],
+     "problem rainbow reads no --assignment"),
+])
+def test_conflicting_inputs_exit_2(star_inputs, argv, message):
+    code, out, err = run_cli("solve", "--k", "2", *(a.format(**star_inputs) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_large_cotree_model_solves(tmp_path):

@@ -375,8 +375,8 @@ def test_check_witness_same_on_model_and_graph():
             L = None
             if cls == "complete-bipartite":
                 model = BipartiteInstance.from_labels(
-                    k, [rng.randint(0, k) for _ in range(model.n1)],
-                    [rng.randint(0, k) for _ in range(model.n2)])
+                    k, [rng.randint(0, k) for _ in range(len(model.side1))],
+                    [rng.randint(0, k) for _ in range(len(model.side2))])
                 L = model.assignment()
             elif problem == "weakL":  # floors a below 2 keep some vertices at zero
                 L = KAssignment(k, tuple((rng.randint(0, min(k, 1)), rng.randint(0, k))

@@ -34,11 +34,11 @@ from rainbowdom.trivially_perfect import (
     parse_assignment,
     parse_tree_model,
     random_tree_model,
-    render_assignment,
     render_tree_model,
 )
 from rainbowdom.cograph import rainbow_cograph, recognize_cograph
 from rainbowdom.harness import enumerate_cographs, enumerate_rooted_forests
+from reference import render_assignment
 
 
 def test_model_roundtrip():
