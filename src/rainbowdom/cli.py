@@ -7,11 +7,13 @@ input or incompatible problem/class, 3 oracle cap or node budget exceeded.
 ``solve`` runs four steps, each returning a value or raising ``CliError``:
 read the graph or the model (with any floors it carries), read the weakL
 floors, choose the solver (the model's class, a recognizer, the auto chain
-or the oracle within its cap), then solve and check the witness.  A
-witness is validated, and its cost compared with the printed value,
-before either is written; a model file's witness is validated on the
-model, so ``solve --model`` builds no graph.  The (class, problem) table
-lives in ``rainbowdom.registry``.
+or the oracle within its vertex cap), then solve and check the witness.
+The cap (``RAINBOWDOM_ORACLE_CAP``, default 24) is ``solve``'s policy
+alone: the choose step checks it once, before the oracle runs, and
+``verify`` and ``bench`` never read it.  A witness is validated, and its
+cost compared with the printed value, before either is written; a model
+file's witness is validated on the model, so ``solve --model`` builds no
+graph.  The (class, problem) table lives in ``rainbowdom.registry``.
 """
 
 from __future__ import annotations
@@ -19,18 +21,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
 
 from .graph import GraphParseError, parse_graph, render_graph
 from .semantics import RainbowFunction, WeightFunction, check_witness
-from . import oracle as _oracle
-from .oracle import (
-    InfeasibleInstance,
-    OracleBudgetExceeded,
-    OracleCapExceeded,
-)
+from .oracle import DEFAULT_VERTEX_CAP, InfeasibleInstance, OracleBudgetExceeded
 from .cograph import Cotree
 from .trivially_perfect import parse_assignment
 from .gadgets import render_split_partition
@@ -72,10 +70,18 @@ def _write(path: str, text: str) -> None:
 
 
 def _oracle_cap() -> int:
+    """The oracle's vertex cap: ``RAINBOWDOM_ORACLE_CAP`` if set, else the
+    default.  Only ``solve`` applies it."""
+    env = os.environ.get("RAINBOWDOM_ORACLE_CAP")
+    if not env:
+        return DEFAULT_VERTEX_CAP
     try:
-        return _oracle.vertex_cap()
-    except ValueError as exc:
-        _fail(str(exc))
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        _fail(f"RAINBOWDOM_ORACLE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 CLASSES = ("auto",) + tuple(REGISTRY)
@@ -171,8 +177,8 @@ def _choose(args, entry, instance, L):
     elif isinstance(model := entry.recognize(instance, L), str):
         _fail(model)
     if chosen == "oracle":
-        # one size check however the oracle was chosen: the weight searches
-        # have no cap of their own
+        # the one cap check, however the oracle was chosen; the oracle's
+        # searches are given no cap
         cap = _oracle_cap()
         size = instance.n * args.k if args.problem == "rainbow" else instance.n
         if size > cap:
@@ -191,7 +197,7 @@ def _solve(args, chosen, model, instance, L):
     """Step 4: the value and a witness checked on the input, model or graph."""
     try:
         value, witness = REGISTRY[chosen].solvers[args.problem](model, args.k, args.j, L)
-    except (OracleCapExceeded, OracleBudgetExceeded) as exc:
+    except OracleBudgetExceeded as exc:
         _fail(str(exc), code=3)
     except InfeasibleInstance as exc:
         _fail(f"infeasible: {exc}")
@@ -205,7 +211,6 @@ def cmd_verify(args) -> int:
     from .harness import CertificationPlan, default_plan, run_plan
     if args.workers < 1:
         _fail(f"--workers must be at least 1, got {args.workers}")
-    _oracle_cap()
     if args.plan:
         try:
             plan = CertificationPlan.from_json(_read(args.plan))
@@ -283,7 +288,10 @@ def cmd_bench(args) -> int:
     for n in sizes:
         instance = entry.sample(n, rng)
         t0 = time.perf_counter()
-        entry.timed(instance, args.k)
+        try:
+            entry.timed(instance, args.k)
+        except OracleBudgetExceeded as exc:
+            _fail(str(exc), code=3)
         rows.append((n, time.perf_counter() - t0))
     print(f"{'n':>10}  {'seconds':>10}")
     for n, dt in rows:

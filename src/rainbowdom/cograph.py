@@ -38,7 +38,7 @@ the root last), and the constructor stores every node's size and leaf
 span; so each DP is a plain loop over the ids, and deep trees are safe
 to solve.  ``parse_cotree`` is the exception: it recurses once per
 nesting level, so a text nested deeper than the interpreter's recursion
-limit raises RecursionError.
+limit is refused with ``CotreeParseError``.
 """
 
 from __future__ import annotations
@@ -323,7 +323,10 @@ def parse_cotree(text: str) -> Cotree:
         expect(")")
         return node
 
-    root = parse()
+    try:
+        root = parse()
+    except RecursionError:
+        raise CotreeParseError("tree nested too deeply to parse") from None
     if pos != len(tokens):
         raise CotreeParseError("trailing input after tree")
     try:

@@ -127,15 +127,13 @@ class GadgetReport:
         return self.rainbow_matches and self.weak_matches
 
 
-def verify_gadget_identities(
-    g: Graph, part: SplitPartition, k: int, cap: int | None = None
-) -> GadgetReport:
+def verify_gadget_identities(g: Graph, part: SplitPartition, k: int) -> GadgetReport:
     """Compute both sides of the two pendant identities by oracle."""
     from . import oracle as _oracle
 
     gp, info = pendant_gadget(g, part, k)
-    dom = _oracle.exact_domination(g, cap=cap)
-    rk = _oracle.exact_rainbow(gp, k, cap=cap)
+    dom = _oracle.exact_domination(g)
+    rk = _oracle.exact_rainbow(gp, k)
     wk = _oracle.exact_weight_variant(gp, "weak_k", k)
     expected = dom.value + len(part.C) * (k - 1)
     return GadgetReport(

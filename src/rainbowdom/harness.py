@@ -38,7 +38,7 @@ from .permutation import Permutation, diagram_to_graph
 from .bipartite import BipartiteInstance, complete_bipartite_graph
 from .gadgets import split_partition, verify_gadget_identities
 from .generators import generate
-from .registry import ORACLE_VARIANT, REGISTRY
+from .registry import REGISTRY
 
 __all__ = [
     "CertificationPlan",
@@ -432,9 +432,7 @@ def _oracle_value(problem: str, g: Graph, k: int, j=None, L=None) -> int | None:
     """The oracle's value of ``problem`` on g, or None when no function
     exists."""
     try:
-        if problem == "rainbow":
-            return exact_rainbow(g, k, cap=g.n * k).value
-        return exact_weight_variant(g, ORACLE_VARIANT[problem], k, j=j, assignment=L).value
+        return REGISTRY["oracle"].solvers[problem](g, k, j, L)[0]
     except InfeasibleInstance:
         return None
 
@@ -503,14 +501,14 @@ def check_oracle_cross(rng, max_n, max_k):
     return True, f"{count} instances agree", None
 
 
-def sweep_global_invariants(corpus, ks, cap=None):
+def sweep_global_invariants(corpus, ks):
     """Order bounds, the product upper bound, the weak-rainbow inequality
     and k-monotonicity, all by oracle.  Returns (ok, failure detail)."""
     for idx, g in enumerate(corpus):
-        gamma = exact_domination(g, cap=cap).value
+        gamma = exact_domination(g).value
         prev = None
         for k in ks:
-            rk = exact_rainbow(g, k, cap=cap).value
+            rk = exact_rainbow(g, k).value
             wk = exact_weight_variant(g, "weak_k", k).value
             if not (min(k, g.n) <= rk <= g.n):
                 return False, f"order bounds fail: graph {idx} k={k} rk={rk}"
@@ -522,7 +520,7 @@ def sweep_global_invariants(corpus, ks, cap=None):
                 return False, f"rainbow not monotone in k: graph {idx} k={k}"
             prev = rk
         if g.n <= 4:
-            if exact_rainbow(g, g.n, cap=cap).value != g.n:
+            if exact_rainbow(g, g.n).value != g.n:
                 return False, f"saturation at k=n fails: graph {idx}"
     return True, None
 
@@ -777,7 +775,7 @@ def check_gadget_cert(rng, count, max_total, max_k, product_cap):
         n_gadget = g.n + len(part.C) * (k - 1)
         if n_gadget * k > product_cap:
             continue  # keep the oracle inside its budget; resample
-        rep = verify_gadget_identities(g, part, k, cap=product_cap)
+        rep = verify_gadget_identities(g, part, k)
         if not rep.ok:
             return (
                 False, "identity fails",

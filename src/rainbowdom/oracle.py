@@ -25,12 +25,18 @@ depend on them; only ``nodes_explored`` does):
   unconditional variants), or by the vertices still short of their need
   over the largest closed neighbourhood still unassigned.
 
+``exact_domination`` and ``exact_rainbow`` refuse an instance above a
+vertex cap (the product's size, for rainbow) only when given one; every
+search is otherwise bounded by its node budget alone.  ``DEFAULT_VERTEX_CAP``
+is the cap ``solve`` applies before it runs the oracle, unless
+``RAINBOWDOM_ORACLE_CAP`` overrides it; the command line reads that
+variable, and these searches never do.
+
 Every call is pure and independent; results carry a validating witness.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import lt, sub
 from typing import Union
@@ -48,7 +54,6 @@ __all__ = [
     "OracleBudgetExceeded",
     "InfeasibleInstance",
     "DEFAULT_VERTEX_CAP",
-    "vertex_cap",
     "exact_domination",
     "exact_rainbow",
     "exact_rainbow_direct",
@@ -62,7 +67,7 @@ DIRECT_WORK_CAP = 10_000_000
 
 
 class OracleCapExceeded(RuntimeError):
-    """Instance is larger than the configured vertex cap."""
+    """Instance is larger than the vertex cap the caller passed."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -78,27 +83,6 @@ class OracleResult:
     value: int
     witness: Union[RainbowFunction, WeightFunction]
     nodes_explored: int
-
-
-def vertex_cap(cap: int | None = None) -> int:
-    """Resolve the oracle vertex cap: explicit arg, else env, else default.
-
-    Raises ``ValueError`` when the environment value is not a positive
-    integer."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("RAINBOWDOM_ORACLE_CAP")
-    if not env:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(
-            f"RAINBOWDOM_ORACLE_CAP must be a positive integer, got {env!r}"
-        )
-    return cap
 
 
 def _greedy_dominating(nb: list[int], full: int) -> list[int]:
@@ -122,8 +106,7 @@ def exact_domination(
 ) -> OracleResult:
     """Minimum dominating set by cardinality-increasing depth-first search
     over the closed neighbourhoods (see ``_min_dominating``)."""
-    cap = vertex_cap(cap)
-    if g.n > cap:
+    if cap is not None and g.n > cap:
         raise OracleCapExceeded(f"n={g.n} exceeds oracle cap {cap}")
     nb = [sum(1 << u for u in g.neighbors(v)) | 1 << v for v in range(g.n)]
     chosen, nodes = _min_dominating(nb, node_budget)
@@ -229,8 +212,7 @@ def exact_rainbow(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cap = vertex_cap(cap)
-    if g.n * k > cap:
+    if cap is not None and g.n * k > cap:
         raise OracleCapExceeded(f"product size {g.n * k} exceeds oracle cap {cap}")
     colours = (1 << k) - 1
     nb = []

@@ -214,7 +214,7 @@ REGISTRY: dict[str, GraphClass] = {
     "oracle": GraphClass(
         {p: _oracle_solver(p) for p in PROBLEMS},
         sample=lambda n, rng: generate("random", n, 0.4, seed=rng.randrange(1 << 30))[0],
-        timed=lambda g, k: _oracle.exact_rainbow(g, k, cap=max(48, g.n * k)),
+        timed=lambda g, k: _oracle.exact_rainbow(g, k),
     ),
 }
 

@@ -553,6 +553,56 @@ def test_bad_oracle_cap_env_exit_2(tmp_path, monkeypatch, cap):
     ]
 
 
+@pytest.mark.parametrize("cap", ["10", "abc"])
+def test_verify_ignores_the_oracle_cap_env(tmp_path, monkeypatch, cap):
+    """The cap is solve's policy: verify neither reads it nor refuses a
+    bad value, and its report stays the pinned one."""
+    import os
+
+    monkeypatch.setenv("RAINBOWDOM_ORACLE_CAP", cap)
+    out = tmp_path / "report.json"
+    code, _o, _e = run_cli("verify", "--seed", "3", "--out", str(out))
+    assert code == 0
+    pinned = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "verify_quick_seed3.json")
+    with open(pinned) as fh:
+        assert out.read_text() == fh.read()
+
+
+def test_bench_node_budget_exit_3(monkeypatch):
+    import rainbowdom.oracle
+
+    monkeypatch.setattr(rainbowdom.oracle, "DEFAULT_NODE_BUDGET", 50)
+    code, out, err = run_cli("bench", "--class", "oracle", "--sizes", "30", "--k", "2")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: domination search passed 50 nodes"]
+
+
+def test_deep_cotree_file_exit_2(tmp_path):
+    """A cotree nested deeper than the recursion limit is refused with one
+    error line by solve and convert, not with a RecursionError traceback."""
+    import os
+
+    import rainbowdom
+
+    text = "(J " * 2999 + "(J 0 1)" + "".join(f" {v})" for v in range(2, 3001))
+    (tmp_path / "deep.cotree").write_text(text + "\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdom.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for argv in (
+        ["solve", "--problem", "rainbow", "--k", "2", "--class", "cograph",
+         "--model", str(tmp_path / "deep.cotree")],
+        ["convert", "--kind", "cotree", str(tmp_path / "deep.cotree")],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "rainbowdom.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert proc.stderr == (
+            "error: cannot parse model for class cograph: tree nested too deeply to parse\n"
+        )
+
+
 @pytest.mark.parametrize("check, params", [
     ("cograph_cert", {"ks": []}),
     ("p4sparse_cert", {"feet": [-1]}),

@@ -81,9 +81,9 @@ def test_gadget_remains_split(star4):
 
 
 def test_identities_examples(k2, star4):
-    rep = verify_gadget_identities(k2, split_partition(k2), 2, cap=48)
+    rep = verify_gadget_identities(k2, split_partition(k2), 2)
     assert rep.domination == 1 and rep.expected == 3 and rep.ok
-    rep = verify_gadget_identities(star4, split_partition(star4), 2, cap=48)
+    rep = verify_gadget_identities(star4, split_partition(star4), 2)
     assert rep.domination == 1 and rep.expected == 3 and rep.ok
 
 
@@ -100,7 +100,7 @@ def test_identities_random():
         gp, _info = pendant_gadget(g, part, k)
         if gp.n * k > 36:
             continue
-        rep = verify_gadget_identities(g, part, k, cap=40)
+        rep = verify_gadget_identities(g, part, k)
         assert rep.ok, (seed, c, i, k)
         done += 1
 

@@ -109,6 +109,13 @@ def test_domination_cap():
         exact_domination(Graph(30), cap=24)
 
 
+def test_no_cap_without_a_cap_argument():
+    # 30 isolated vertices: above the CLI's default cap of 24, and the
+    # greedy bound meets the counting bound, so no search runs
+    assert exact_domination(Graph(30)).value == 30
+    assert exact_rainbow(Graph(30), 2).value == 30
+
+
 def test_domination_budget():
     g = random_graph(14, 0.3, 3)
     with pytest.raises(OracleBudgetExceeded):
